@@ -18,8 +18,7 @@ from .engine import (gfun, gfun_q, apply_deletion, apply_ple,
                      default_strategy, reversed_strategy, ple_first_strategy)
 from .oracle import enumerate_ppartitions, truncated_gf, verify
 from .recurrence import (FrontierState, RecurrenceSystem, discover_states,
-                         eliminate_prefix, entry_prefix, state_prefix,
-                         evaluate, emit_system)
+                         eliminate_prefix, entry_prefix, state_prefix)
 from . import families
 
 __all__ = [
@@ -30,6 +29,5 @@ __all__ = [
     "default_strategy", "reversed_strategy", "ple_first_strategy",
     "enumerate_ppartitions", "truncated_gf", "verify",
     "FrontierState", "RecurrenceSystem", "discover_states",
-    "eliminate_prefix", "entry_prefix", "state_prefix", "evaluate",
-    "emit_system", "families",
+    "eliminate_prefix", "entry_prefix", "state_prefix", "families",
 ]

@@ -17,13 +17,20 @@ cancellations that the transformation identities create.
 The only substitutions ever needed are multiplicative (variable -> monomial),
 so a substitution is a plain dict {name: monomial}.  The variable name "q"
 is reserved for the one-variable specialization.
+
+Rational functions in q alone also have a dense form, a coefficient list
+over a tuple of exponents, with its own arithmetic (the dense_* functions);
+the recurrence's q-iteration runs on it.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import random
 import re
+from collections import Counter
+from itertools import accumulate, repeat
 
 Q = "q"
 
@@ -640,6 +647,150 @@ def rf_eq(a, b):
         for _ in range(-k):
             right = right * one_minus(m)
     return left == right
+
+
+# ---------------------------------------------------------------------------
+# dense univariate values
+#
+# A rational function in q alone is kept as a pair (coeffs, den): coeffs is
+# a list of ints indexed by the power of q with no trailing zeros (the
+# empty list is 0), and den is the sorted tuple of the k of its (1 - q^k)
+# factors.  The functions below follow the sparse ones rule for rule, so
+# dense_to_rf of a result equals what the sparse algebra gives, byte for
+# byte when rendered.  None of them mutates its arguments.
+
+def dense_mul(a, b):
+    """Product of two coefficient lists.
+
+    Schoolbook: at the degrees the q-iteration reaches (a few hundred),
+    Kronecker substitution into one Python int measured slower.
+    """
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    la = len(a)
+    out = [0] * (la + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            out[j:j + la] = map(operator.add, out[j:j + la],
+                                map(operator.mul, a, repeat(cb, la)))
+    return out
+
+
+def dense_mul_one_minus(a, k):
+    """a * (1 - q^k), for k >= 1."""
+    if not a:
+        return []
+    out = a + [0] * k
+    out[k:] = map(operator.sub, out[k:], a)
+    return out
+
+
+def dense_div_one_minus(a, k):
+    """Quotient of a by (1 - q^k) when the division is exact, else None.
+
+    The quotient b satisfies b_i = a_i + b_(i-k), so each residue class
+    of indices mod k is a running sum of a's; the division is exact iff
+    every class sums to 0, that is iff the last k running sums vanish.
+    """
+    if not a:
+        return []
+    top = len(a) - k
+    if top <= 0:
+        return None
+    for r in range(k):
+        if sum(a[r::k]):
+            return None
+    b = a[:top]
+    for r in range(k):
+        b[r::k] = accumulate(b[r::k])
+    return b
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def dense_normalize(num, den):
+    """Cancel (1 - q^k) factors against num, as RationalFunction._normalize:
+    one pass in ascending k, stopping once the coefficient sum is nonzero."""
+    if not num:
+        return [], ()
+    den = list(den)
+    i = 0
+    while i < len(den) and not sum(num):
+        quot = dense_div_one_minus(num, den[i])
+        if quot is None:
+            i += 1
+        else:
+            num = quot
+            del den[i]
+    return num, tuple(den)
+
+
+def dense_eval(f, exps):
+    """f at the point where each variable v is q^exps[v], normalized.
+
+    Every variable of f, q included, needs an entry in exps, and every
+    exponent of the result must be non-negative.
+    """
+    num = {}
+    for m, c in f.num.terms.items():
+        d = 0
+        for v, e in m:
+            d += e * exps[v]
+        num[d] = num.get(d, 0) + c
+    den = []
+    for m in f.den:
+        k = 0
+        for v, e in m:
+            k += e * exps[v]
+        if not k:
+            raise DenominatorCollapse("factor (1 - %s) collapsed" % mono_str(m))
+        den.append(k)
+    if min(num, default=0) < 0 or min(den, default=1) < 0:
+        raise ValueError("negative exponent of q")
+    coeffs = [0] * (max(num, default=-1) + 1)
+    for d, c in num.items():
+        coeffs[d] = c
+    return dense_normalize(_trim(coeffs), sorted(den))
+
+
+def dense_product(f, g):
+    """Product of two dense values, normalized."""
+    return dense_normalize(dense_mul(f[0], g[0]), sorted(f[1] + g[1]))
+
+
+def dense_sum(values):
+    """Sum of dense values over the least common denominator, as rf_sum."""
+    values = list(values)
+    if not values:
+        return [], ()
+    if len(values) == 1:
+        return values[0]
+    common = Counter()
+    for _, den in values:
+        common |= Counter(den)
+    total = []
+    for num, den in values:
+        for k, mult in (common - Counter(den)).items():
+            for _ in range(mult):
+                num = dense_mul_one_minus(num, k)
+        if len(num) > len(total):
+            total, num = num, total
+        total = list(map(operator.add, total, num)) + total[len(num):]
+    return dense_normalize(_trim(total), sorted(common.elements()))
+
+
+def dense_to_rf(value):
+    """The RationalFunction in q of a dense value (already normalized)."""
+    num, den = value
+    terms = {mono_var(Q, d): c for d, c in enumerate(num) if c}
+    return RationalFunction(Polynomial(terms), [mono_var(Q, k) for k in den],
+                            normalize=False)
 
 
 # ---------------------------------------------------------------------------

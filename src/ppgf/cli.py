@@ -17,8 +17,8 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
-from . import __version__
 from .algebra import ParseError, RationalFunction, parse_rational
 from .poset import PosetError, parse_poset_text
 from . import engine, oracle, families, recurrence
@@ -100,26 +100,64 @@ def _cache_path(args, nblocks):
     return os.path.join(root, "%s_n%d_%s.json" % (tag, nblocks, mode))
 
 
+def _source_stamp():
+    """SHA-256 of the package's source files: a cache entry written by any
+    other version of the code is never served."""
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
+def _read_cache(path, stamp):
+    """The cached function, or None when the entry is missing, unreadable,
+    truncated or stamped by other source."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or payload.get("source") != stamp:
+            return None
+        return RationalFunction.from_json(payload["rf"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _write_cache(path, stamp, f):
+    """Write the entry to a temporary file beside it, then rename it into
+    place, so a reader never sees a partial entry."""
+    folder = os.path.dirname(path) or "."
+    os.makedirs(folder, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"source": stamp, "rf": f.to_json()}, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def cmd_eval(args):
     deco, blocks_for = _decomposition(args)
     nblocks = blocks_for(args.n)
     if nblocks < 1:
         raise PosetError("n too small for this family")
     path = _cache_path(args, nblocks)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("version") == __version__:
-            _print_rf(RationalFunction.from_json(payload["rf"]), args.json)
+    if path:
+        stamp = _source_stamp()
+        f = _read_cache(path, stamp)
+        if f is not None:
+            _print_rf(f, args.json)
             return 0
     system = recurrence.discover_states(deco.block, deco.rel,
                                         deco.seed, deco.seed_rel)
     f = system.evaluate(nblocks, deco.tail, deco.tail_rel,
                         q_only=not args.multivariate)
     if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump({"version": __version__, "rf": f.to_json()}, fh)
+        _write_cache(path, stamp, f)
     _print_rf(f, args.json)
     return 0
 
@@ -150,8 +188,6 @@ def _add_input_options(sub):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="ppgf", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (reserved; evaluation is sequential)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("gfun", help="multivariate generating function")

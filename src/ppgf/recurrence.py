@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Q, Polynomial, RationalFunction, mono_var, mono_mul,
-                      mono_subst, mono_str, rf_sum)
+from .algebra import (Q, Polynomial, RationalFunction, dense_eval,
+                      dense_product, dense_sum, dense_to_rf, mono_var,
+                      mono_mul, mono_subst, mono_str, rf_sum)
 from .poset import Poset, rplus, rplus_offset
 from . import engine
 from .families import BlockDecomposition
@@ -329,7 +330,9 @@ class RecurrenceSystem:
         Once every deep variable is q, each recursive call receives
         concrete powers of q for its frontier and first-copy arguments, so
         every value is univariate; memoizing on (state, level, argument
-        exponents) keeps the call tree polynomial.
+        exponents) keeps the call tree polynomial.  Values below the entry
+        are dense (see algebra.dense_eval); the entry terms combine them as
+        RationalFunctions.
         """
         memo = self._level_cache.setdefault(("q", tail, frozenset(tail_rel)), {})
         block_elts = tuple(sorted(self.block.elements))
@@ -349,17 +352,16 @@ class RecurrenceSystem:
                 return hit
             exps = {"c%d" % i: k for i, k in enumerate(cexps, start=1)}
             exps.update(("p%d" % b, k) for b, k in zip(block_elts, pexps))
-            sub = {v: mono_var(Q, k) for v, k in exps.items()}
+            exps[Q] = 1
             if m == 1:
-                f = self.base_value(s, tail, tail_rel, q_only=True)
-                f = f.substitute(sub)
+                f = dense_eval(self.base_value(s, tail, tail_rel, q_only=True),
+                               exps)
             else:
-                parts = []
-                for t in self.transitions[s].terms:
-                    tc, tp = arg_exponents(t, exps)
-                    parts.append(t.coef.substitute(sub)
-                                 * eval_state(t.target, m - 1, tc, tp))
-                f = rf_sum(parts)
+                f = dense_sum(
+                    dense_product(dense_eval(t.coef, exps),
+                                  eval_state(t.target, m - 1,
+                                             *arg_exponents(t, exps)))
+                    for t in self.transitions[s].terms)
             memo[key] = f
             return f
 
@@ -378,7 +380,7 @@ class RecurrenceSystem:
         for t in self.entry:
             tc, tp = arg_exponents(t, ones)
             parts.append(t.coef.substitute(qsub).specialize_q()
-                         * eval_state(t.target, n - 1, tc, tp))
+                         * dense_to_rf(eval_state(t.target, n - 1, tc, tp)))
         return rf_sum(parts)
 
     def evaluate(self, n, tail=None, tail_rel=(), q_only=True):
@@ -491,10 +493,3 @@ def discover_states(block, rel, seed=None, seed_rel=()):
     return RecurrenceSystem(block, rel, seed, frozenset(seed_rel),
                             entry, transitions)
 
-
-def evaluate(system, n, tail=None, tail_rel=(), q_only=True):
-    return system.evaluate(n, tail, tail_rel, q_only)
-
-
-def emit_system(system, tail=None, tail_rel=()):
-    return system.emit_text(tail, tail_rel)

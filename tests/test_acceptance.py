@@ -215,6 +215,16 @@ def test_criterion_3_multicube_level_6():
     assert sum(numerator) == extensions
 
 
+def test_multicube_level_7_numerator():
+    # one level past criterion 3, checked the same independent way
+    deco = multicube_block()
+    system = discover_states(deco.block, deco.rel, deco.seed, deco.seed_rel)
+    num = _numerator_over_q_factorial(system.evaluate(7), 28)
+    coef = {m[0][1] if m else 0: c for m, c in num.terms.items()}
+    numerator = [coef.get(k, 0) for k in range(max(coef) + 1)]
+    assert numerator == _stacked_diamonds_maj_numerator(7)
+
+
 def test_criterion_4_three_rowed_recurrence_fidelity():
     start = time.perf_counter()
     deco = three_rowed_block()

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppgf.algebra import (DenominatorCollapse, ParseError, Polynomial,
-                          RationalFunction, exact_div, mono, mono_var,
-                          one_minus, parse_polynomial, parse_rational,
-                          rf_eq, rf_sum)
+                          RationalFunction, dense_div_one_minus, dense_eval,
+                          dense_mul, dense_mul_one_minus, dense_normalize,
+                          dense_product, dense_sum, dense_to_rf, exact_div,
+                          mono, mono_deg, mono_var, one_minus,
+                          parse_polynomial, parse_rational, rf_eq, rf_sum)
 
 P = parse_polynomial
 R = parse_rational
@@ -320,6 +322,84 @@ def test_json_round_trip(data):
     assert RationalFunction.loads(f.dumps()) == f
 
 
+# -- dense univariate kernel, against the sparse algebra ---------------------
+
+def q_coeffs(p):
+    """Coefficient list of a polynomial in q alone, no trailing zeros."""
+    out = [0] * (p.degree() + 1)
+    for m, c in p.terms.items():
+        out[mono_deg(m)] = c
+    return out
+
+
+def q_den(ks):
+    return [mono_var("q", k) for k in ks]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_dense_polynomial_ops_match_sparse(data):
+    pa = data.draw(q_polynomials())
+    pb = data.draw(q_polynomials())
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    a, b, m = q_coeffs(pa), q_coeffs(pb), mono_var("q", k)
+    assert dense_mul(a, b) == q_coeffs(pa * pb)
+    assert dense_mul_one_minus(a, k) == q_coeffs(pa * one_minus(m))
+    quot = exact_div(pa, m)
+    assert dense_div_one_minus(a, k) == (None if quot is None
+                                         else q_coeffs(quot))
+    assert dense_div_one_minus(dense_mul_one_minus(a, k), k) == a
+
+
+def test_dense_div_edge_cases():
+    assert dense_div_one_minus([], 3) == []
+    assert dense_div_one_minus([1, 0, -1], 3) is None  # k above the degree
+    assert dense_div_one_minus([1, 0, -1], 2) == [1]
+    assert dense_div_one_minus([1, -1, 1, -1], 2) is None  # sum 0, inexact
+    assert dense_div_one_minus([1, -1, 1, -1], 1) == [1, 0, 1]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_dense_rationals_match_sparse(data):
+    drawn = data.draw(st.lists(q_rational_parts(), max_size=4))
+    dense = [dense_normalize(q_coeffs(p), sorted(ks)) for p, ks in drawn]
+    sparse = [RationalFunction(p, q_den(ks)) for p, ks in drawn]
+    for d, f in zip(dense, sparse):
+        assert dense_to_rf(d) == f
+    assert dense_to_rf(dense_sum(dense)) == rf_sum(sparse)
+    if len(drawn) >= 2:
+        assert (dense_to_rf(dense_product(dense[0], dense[1]))
+                == sparse[0] * sparse[1])
+
+
+def test_dense_normalize_keeps_factor_order():
+    # the normal form depends on the order factors are tried in: ascending
+    # k, as the sparse normalization sorts (1 - q) before (1 - q^2)
+    value = dense_normalize([1, 0, -1], (1, 2))
+    assert value == ([1, 1], (2,))
+    assert dense_to_rf(value) == RationalFunction(P("1 - q^2"), q_den([1, 2]))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_dense_eval_matches_substitution(data):
+    num = data.draw(polynomials())
+    den = data.draw(st.lists(monomials(nonempty=True), max_size=3))
+    for m in data.draw(st.lists(st.sampled_from(den), max_size=2)
+                       if den else st.just([])):
+        num = num * one_minus(m)
+    f = RationalFunction(num, den, normalize=False)
+    exps = {v: data.draw(st.integers(min_value=0, max_value=3)) for v in VARS}
+    try:
+        expected = f.substitute({v: mono_var("q", e) for v, e in exps.items()})
+    except DenominatorCollapse:
+        with pytest.raises(DenominatorCollapse):
+            dense_eval(f, exps)
+        return
+    assert dense_to_rf(dense_eval(f, exps)) == expected
+
+
 # -- strategies --------------------------------------------------------------
 
 VARS = ("x1", "x2", "x3", "q")
@@ -346,3 +426,29 @@ def rationals():
 def substitutions():
     return st.dictionaries(st.sampled_from(VARS), monomials(nonempty=True),
                            max_size=2)
+
+
+def q_polynomials():
+    """Polynomials in q with negative coefficients, times a few (1 - q^k)
+    so that exact divisions occur."""
+    term = st.tuples(st.integers(min_value=0, max_value=6),
+                     st.integers(min_value=-4, max_value=4))
+    return st.tuples(st.lists(term, max_size=5),
+                     st.lists(st.integers(min_value=1, max_value=4),
+                              max_size=3)).map(_q_polynomial)
+
+
+def _q_polynomial(drawn):
+    terms, ks = drawn
+    p = sum((Polynomial.term(mono_var("q", d), c) for d, c in terms),
+            Polynomial.zero())
+    for k in ks:
+        p = p * one_minus(mono_var("q", k))
+    return p
+
+
+def q_rational_parts():
+    """(numerator in q, list of the k of its (1 - q^k) factors)."""
+    return st.tuples(q_polynomials(),
+                     st.lists(st.integers(min_value=1, max_value=4),
+                              max_size=4))

@@ -91,14 +91,23 @@ def test_eval_cache(capsys, tmp_path, monkeypatch):
     assert code == 0
     files = list(tmp_path.iterdir())
     assert len(files) == 1
-    payload = json.loads(files[0].read_text())
-    assert payload["version"]
+    entry = files[0].read_text()
+    stamp = json.loads(entry)["source"]
+    assert stamp
     code, out2, _ = run(capsys, "eval", "--family", "zigzag", "--n", "3")
     assert code == 0 and out1 == out2
-    # stale version stamps are ignored
-    files[0].write_text(json.dumps({"version": "0.0.0", "rf": {"num": [[7, {}]], "den": []}}))
+    # entries stamped by other source are recomputed and overwritten
+    files[0].write_text(json.dumps({"source": "0" * 64,
+                                    "rf": {"num": [[7, {}]], "den": []}}))
     code, out3, _ = run(capsys, "eval", "--family", "zigzag", "--n", "3")
     assert code == 0 and out3 == out1
+    assert files[0].read_text() == entry
+    # so are truncated entries, which are misses rather than errors
+    files[0].write_text(entry[:len(entry) // 2])
+    code, out4, err = run(capsys, "eval", "--family", "zigzag", "--n", "3")
+    assert code == 0 and out4 == out1 and not err
+    assert files[0].read_text() == entry
+    assert list(tmp_path.iterdir()) == files
 
 
 def test_verify_pass(capsys):

@@ -11,7 +11,7 @@ from ppgf.families import (BlockDecomposition, antichain, chain, diamond,
 from ppgf.oracle import verify
 from ppgf.poset import Poset
 from ppgf.recurrence import (FrontierState, StateBoundExceeded,
-                             discover_states, eliminate_prefix, emit_system,
+                             discover_states, eliminate_prefix,
                              entry_prefix, state_prefix)
 
 R = parse_rational
@@ -220,7 +220,7 @@ def test_state_bound_diagnostic():
 
 def test_emit_text_structure():
     sys_ = system_for(three_rowed_block())
-    text = emit_system(sys_)
+    text = sys_.emit_text()
     assert "F0[n]" in text and "F1[n-1]" in text
     term_lines = [l for l in text.splitlines() if l.startswith("  + ")]
     assert len(term_lines) == 8  # 4 entry terms + 4 transition terms
