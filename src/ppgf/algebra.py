@@ -319,9 +319,10 @@ def _residue(name):
 def _vanishes_where_one(p, m):
     """Whether p vanishes mod _PRIME at a fixed point where m = 1.
 
-    With (v, e) the first item of m, every other variable u of m takes
-    r_u^e and v takes the inverse of prod r_u^e_u, so that
-    m = (v * prod r_u^e_u)^e = 1.  Every variable outside m takes r_u.
+    exact_div's filter for m in two or more variables.  With (v, e) the
+    first item of m, every other variable u of m takes r_u^e and v takes
+    the inverse of prod r_u^e_u, so that m = (v * prod r_u^e_u)^e = 1.
+    Every variable outside m takes r_u.
     """
     (v, e), rest = m[0], m[1:]
     point = {}
@@ -344,32 +345,76 @@ def _vanishes_where_one(p, m):
     return not total % _PRIME
 
 
+def _div_one_variable(p, v, k):
+    """Quotient of a nonzero p by (1 - v^k) when exact, else None.
+
+    Write p = sum_j v^j * c_j with each c_j free of v.  The quotient b
+    satisfies b_j = c_j + b_(j-k), so within each residue class of j mod
+    k it is a running sum of the c_j, and the division is exact iff, for
+    every v-free monomial, the coefficients of each class sum to 0: the
+    sparse, multivariate form of dense_div_one_minus.
+    """
+    classes = {}
+    for mo, c in p.terms.items():
+        j = 0
+        for i, (u, e) in enumerate(mo):
+            if u == v:
+                j = e
+                mo = mo[:i] + mo[i + 1:]
+                break
+        classes.setdefault((mo, j % k), []).append((j, c))
+    for items in classes.values():
+        if sum(c for _, c in items):
+            return None
+    out = {}
+    for (rest, _), items in classes.items():
+        items.sort()
+        at = 0
+        while at < len(rest) and rest[at][0] < v:
+            at += 1
+        head, tail = rest[:at], rest[at:]
+        acc = 0
+        for (j, c), (nxt, _) in zip(items, items[1:]):
+            acc += c
+            if acc:
+                for e in range(j, nxt, k):
+                    out[head + ((v, e),) + tail if e else rest] = acc
+    quot = Polynomial.__new__(Polynomial)
+    quot.terms = out
+    return quot
+
+
 def exact_div(p, m):
     """Quotient of p by (1 - m) when the division is exact, else None.
 
-    Two filters run first.  Each evaluates p at a point where m = 1, where
-    (1 - m) and hence every multiple of it vanishes, so each can only
-    reject a non-divisor and the result is the same as without them:
+    For m = v^k in one variable, the test and the quotient are exact
+    running sums over the residue classes of v's exponent mod k (see
+    _div_one_variable).
+
+    For m in two or more variables, two filters run first.  Each evaluates
+    p at a point where m = 1, where (1 - m) and hence every multiple of it
+    vanishes, so each can only reject a non-divisor and the result is the
+    same as without them:
 
       * every variable at 1: p's coefficient sum must be 0;
-      * for m in two or more variables, a point modulo the prime 2^61 - 1
-        whose other coordinates are fixed pseudo-random residues (see
-        _vanishes_where_one).  For m in one variable that point sends the
-        variable to 1, which tells nothing beyond the first filter when p
-        is in that variable alone, as every q-specialized p is.
+      * a point modulo the prime 2^61 - 1 whose other coordinates are
+        fixed pseudo-random residues (see _vanishes_where_one).
 
-    The division works degree layer by degree layer using q = p + m*q: the
-    lowest remaining layer of the work pile is forced to be part of the
-    quotient, and each accepted term pushes its product with m one layer up.
-    A nonzero layer above degree(p) - degree(m) certifies inexactness.
+    The division then works degree layer by degree layer using
+    q = p + m*q: the lowest remaining layer of the work pile is forced to
+    be part of the quotient, and each accepted term pushes its product
+    with m one layer up.  A nonzero layer above degree(p) - degree(m)
+    certifies inexactness.
     """
     if not m:
         raise ValueError("division by (1 - 1)")
     if p.is_zero():
         return Polynomial.zero()
+    if len(m) == 1:
+        return _div_one_variable(p, *m[0])
     if sum(p.terms.values()):
         return None
-    if len(m) > 1 and not _vanishes_where_one(p, m):
+    if not _vanishes_where_one(p, m):
         return None
     dm = mono_deg(m)
     maxd = p.degree()
@@ -438,7 +483,11 @@ class RationalFunction:
         Each factor is tried once, in order.  A factor that fails never
         needs a retry: if (1 - m) does not divide N, it does not divide
         N / (1 - m') either.  Once the numerator's coefficient sum is
-        nonzero no factor can divide it (see exact_div), so the pass stops.
+        nonzero no factor can divide it, since every multiple of (1 - m)
+        vanishes where all variables are 1, so the pass stops.  Most
+        factors of the deletion identity are one-variable (1 - x_b), and
+        exact_div settles those by residue-class sums without a
+        polynomial division.
         """
         if self.num.is_zero():
             self.den = ()
@@ -498,8 +547,12 @@ class RationalFunction:
         """Divide by (1 - m)."""
         return RationalFunction(self.num, self.den + (m,))
 
-    def substitute(self, sub):
-        """Simultaneous multiplicative substitution of variables by monomials."""
+    def substitute(self, sub, normalize=True):
+        """Simultaneous multiplicative substitution of variables by monomials.
+
+        normalize=False is for a renaming of variables onto distinct
+        names: a ring isomorphism, which maps a normal form to one.
+        """
         num = self.num.substitute(sub)
         den = []
         for m in self.den:
@@ -507,7 +560,7 @@ class RationalFunction:
             if not m2:
                 raise DenominatorCollapse("factor (1 - %s) collapsed" % mono_str(m))
             den.append(m2)
-        return RationalFunction(num, den)
+        return RationalFunction(num, den, normalize)
 
     def specialize_q(self, keep=()):
         """Send every variable outside keep (and not q itself) to q."""

@@ -145,8 +145,11 @@ def gfun(p, bind=None, strategy=default_strategy, memo=None, trace=None):
         if not q.elements:
             return RationalFunction.one()
         template = go_canonical(q)
-        ren = {"v%d" % i: mono_var(qbind[e]) for i, e in enumerate(q.elements)}
-        return template.substitute(ren)
+        names = [qbind[e] for e in q.elements]
+        ren = {"v%d" % i: mono_var(name) for i, name in enumerate(names)}
+        # onto distinct names the renaming keeps the normal form; a caller's
+        # binding may repeat a name, and then the result is renormalized
+        return template.substitute(ren, normalize=len(set(names)) < len(names))
 
     def go_canonical(q):
         index = {e: i for i, e in enumerate(q.elements)}

@@ -63,6 +63,72 @@ def test_exact_div_zero():
     assert exact_div(Polynomial.zero(), mono_var("x1")) == Polynomial.zero()
 
 
+def test_exact_div_one_variable_zero_sum_inexact():
+    # coefficient sum 0, but a residue class of the exponent does not sum to 0
+    assert exact_div(P("1 - q^3"), mono_var("q", 2)) is None
+    assert exact_div(P("x1 - x1^2*x2"), mono_var("x2", 2)) is None
+
+
+def test_exact_div_one_variable_with_free_part():
+    p = P("(x1 + x3)*(1 - x2^3)")
+    assert exact_div(p, mono_var("x2", 3)) == P("x1 + x3")
+
+
+def _split(m, v):
+    """(the rest of monomial m without v, the exponent of v in m)."""
+    rest = tuple((u, e) for u, e in m if u != v)
+    return rest, sum(e for u, e in m if u == v)
+
+
+def _join(rest, v, e):
+    return tuple(sorted(rest + ((v, e),))) if e else rest
+
+
+def _long_div_one_minus(terms, v, k):
+    """(quotient, remainder) of a {monomial: coefficient} dict by 1 - v^k,
+    from the highest power of v down, as polynomials in v."""
+    rem = dict(terms)
+    quot = {}
+    while True:
+        top = max((_split(m, v)[1] for m in rem), default=-1)
+        if top < k:
+            return quot, rem
+        for m in [m for m in rem if _split(m, v)[1] == top]:
+            c = rem.pop(m)
+            rest, _ = _split(m, v)
+            low = _join(rest, v, top - k)
+            quot[low] = quot.get(low, 0) - c
+            rem[low] = rem.get(low, 0) + c
+            if not rem[low]:
+                del rem[low]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_exact_div_one_variable_matches_long_division(data):
+    v = data.draw(st.sampled_from(VARS))
+    k = data.draw(st.integers(min_value=1, max_value=5))
+    m = mono_var(v, k)
+    p = data.draw(polynomials())
+    if data.draw(st.booleans()):
+        p = p * one_minus(m)
+        # c*(v^i - v^j)*rest keeps the coefficient sum 0; it stays
+        # divisible only when i and j share a residue class mod k
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            rest, _ = _split(data.draw(monomials()), v)
+            i, j = data.draw(st.lists(st.integers(min_value=0, max_value=7),
+                                      min_size=2, max_size=2))
+            c = data.draw(st.integers(min_value=-3, max_value=3))
+            p = (p + Polynomial.term(_join(rest, v, i), c)
+                 - Polynomial.term(_join(rest, v, j), c))
+    quot, rem = _long_div_one_minus(p.terms, v, k)
+    got = exact_div(p, m)
+    if rem:
+        assert got is None
+    else:
+        assert got is not None and got.terms == quot
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_exact_div_soundness(data):

@@ -111,6 +111,30 @@ def test_gfun_at_arbitrary_monomials():
     assert rf_eq(f, gfun(p).substitute({"x1": vals[1], "x2": vals[2]}))
 
 
+def test_gfun_binding_with_repeated_name():
+    # x2 = x3 = y turns the numerator into 1 - (x1*y)^2, which (1 - x1*y)
+    # divides: the renamed result has to be renormalized
+    bind = {1: "x1", 2: "y", 3: "y", 4: "x4"}
+    f = gfun(diamond(), bind)
+    expected = gfun(diamond()).substitute({"x2": mono_var("y"),
+                                           "x3": mono_var("y")})
+    assert f == expected
+    assert rf_eq(f, expected)
+    assert f == R("(1 + x1*y)/((1-x1)(1-x1*y)(1-x1*y^2)(1-x1*x4*y^2))")
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_size=6), st.data())
+def test_gfun_binding_equals_substitution(p, data):
+    names = st.sampled_from(("y1", "y2", "y3"))
+    bind = {e: data.draw(names) for e in p.elements}
+    f = gfun(p, bind)
+    expected = gfun(p).substitute({"x%d" % e: mono_var(name)
+                                   for e, name in bind.items()})
+    assert f == expected
+    assert rf_eq(f, expected)
+
+
 def test_gfun_direct_sum_multiplies():
     from ppgf.poset import rplus
     p, q = diamond(), chain(2)
