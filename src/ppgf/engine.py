@@ -1,35 +1,45 @@
 """Recursive computation of the multivariate generating function f_P.
 
-Two exact identities drive the recursion:
+Two exact identities drive the recursion, and each exists once, in
+monomial form: a binding sends each element a to the monomial x_a stands
+for, and deletion_rhs / gluing_rhs return the identity's right-hand side
+as data, a denominator monomial m (None for gluing) and terms (sign,
+multiplier, child poset, child binding), so that f_P is the sum of
+sign * multiplier * f_child(child binding), over (1 - m):
 
   * deleting an element b with at most one lower cover a and at most one
-    upper cover c:
-
-        f_P = (g - h) / (1 - x_b)
-
-    where g is f of the deleted poset with x_c replaced by x_b*x_c (or
-    unchanged if b has no upper cover) and h is x_b times f of the deleted
-    poset with x_a replaced by x_a*x_b (or 0 if b has no lower cover);
+    upper cover c gives f_P = (g - m_b * h) / (1 - m_b), where g is f of
+    the deleted poset with m_c replaced by m_b*m_c (or unchanged if b has
+    no upper cover) and h the same with m_a replaced by m_a*m_b (no term
+    if b has no lower cover);
 
   * gluing, for an antichain A, every nonempty subset M of A into a single
-    element that covers A minus M, with inclusion-exclusion signs and the
-    glued variable finally replaced by the product of the variables of M.
+    element that covers A minus M and is bound to the product of the
+    monomials of M, with inclusion-exclusion signs.
 
 Every poset reaches the empty poset (f = 1) this way: a deletion removes
 an element and a gluing strictly decreases the number of nonempty
 antichains.  The choice of which step to take is a Strategy; all
 strategies give the same function, which the test suite checks.
 
-Substitutions are applied to the rational function returned by each
-recursive call, never pushed into the variable binding, so recursion
-arguments stay purely structural and memoization can key on the cover
-structure plus the binding alone.
+apply_deletion and apply_ple evaluate a right-hand side through a
+recursion recur(child, child_binding); gfun and gfun_at are that
+recursion under two memo policies, and the recurrence module's prefix
+elimination walks the same right-hand sides with a coefficient.  gfun
+keys on cover structure, so branches that build one structure under
+different bindings share the work; gfun_at keys on structure plus
+monomials and keeps every value in the target variables, which is
+exponentially smaller when elements share a variable (gfun_q's all-q
+input).  Each is the faster one somewhere: on the first 100 posets of the
+acceptance corpus under all three strategies, keying on the values at
+distinct variables took 4.3-4.6 s against 2.9-3.5 s keyed on structure
+(2-core Xeon), while structure keys would build the full multivariate
+value of every subposet of an all-q input.
 """
 
 from __future__ import annotations
 
 from .algebra import RationalFunction, Polynomial, mono_var, mono_mul, rf_sum
-from .poset import Poset
 
 
 class NotRemovable(ValueError):
@@ -37,7 +47,13 @@ class NotRemovable(ValueError):
 
 
 def default_binding(p):
-    return {e: "x%d" % e for e in p.elements}
+    return {e: mono_var("x%d" % e) for e in p.elements}
+
+
+def _check_binding(monos):
+    for e, m in monos.items():
+        if not m:
+            raise ValueError("element %r bound to the constant monomial" % (e,))
 
 
 # -- strategies: poset -> ("delete", element) | ("ple", antichain) | None --
@@ -81,174 +97,157 @@ def ple_first_strategy(p):
     return ("delete", min(p.removable_elements()))
 
 
-def apply_deletion(p, b, bind, recur):
-    """f_P from f of the poset without the removable element b."""
+# -- the two identities --------------------------------------------------
+
+def deletion_rhs(p, b, monos):
+    """Right-hand side of the deletion identity at the removable element b."""
     lowers = p.lower_covers(b)
     uppers = p.upper_covers(b)
     if len(lowers) > 1 or len(uppers) > 1:
         raise NotRemovable("%r has covers %r / %r" % (b, lowers, uppers))
-    xb = mono_var(bind[b])
-    sub_poset = p.delete(b)
-    sub_bind = {e: bind[e] for e in sub_poset.elements}
-    f_sub = recur(sub_poset, sub_bind)
+    mb = monos[b]
+    child = p.delete(b)
+    g = {e: monos[e] for e in child.elements}
     if uppers:
-        c = bind[uppers[0]]
-        g = f_sub.substitute({c: mono_mul(xb, mono_var(c))})
-    else:
-        g = f_sub
+        g[uppers[0]] = mono_mul(mb, g[uppers[0]])
+    terms = [(1, (), child, g)]
     if lowers:
-        a = bind[lowers[0]]
-        h = f_sub.substitute({a: mono_mul(mono_var(a), xb)}) * Polynomial.term(xb)
-        return (g - h).over(xb)
-    return g.over(xb)
+        h = {e: monos[e] for e in child.elements}
+        h[lowers[0]] = mono_mul(h[lowers[0]], mb)
+        terms.append((-1, mb, child, h))
+    return mb, terms
 
 
-def apply_ple(p, antichain, bind, recur):
-    """Inclusion-exclusion over all nonempty subsets of the antichain."""
+def gluing_rhs(p, antichain, monos):
+    """Right-hand side of the gluing identity: one term per nonempty
+    subset of the antichain, signed by inclusion-exclusion."""
     members = sorted(antichain)
-    parts = []
+    terms = []
     for mask in range(1, 1 << len(members)):
         m_set = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
-        glued_poset, glued = p.ple(m_set, members)
-        fresh = "g%d" % glued
-        sub_bind = {e: bind[e] for e in glued_poset.elements if e != glued}
-        sub_bind[glued] = fresh
-        f_sub = recur(glued_poset, sub_bind)
+        child, glued = p.ple(m_set, members)
+        child_monos = {e: monos[e] for e in child.elements if e != glued}
         prod = ()
         for e in m_set:
-            prod = mono_mul(prod, mono_var(bind[e]))
-        f_sub = f_sub.substitute({fresh: prod})
-        parts.append(f_sub if len(m_set) % 2 else -f_sub)
-    return rf_sum(parts)
+            prod = mono_mul(prod, monos[e])
+        child_monos[glued] = prod
+        terms.append((1 if len(m_set) % 2 else -1, (), child, child_monos))
+    return None, terms
 
 
-def gfun(p, bind=None, strategy=default_strategy, memo=None, trace=None):
-    """Generating function of the P-partitions of p, memoized.
+def _evaluate(rhs, recur):
+    den, terms = rhs
+    parts = []
+    for sign, mult, child, child_monos in terms:
+        f = recur(child, child_monos)
+        if mult:
+            f = f * Polynomial.term(mult)
+        parts.append(f if sign > 0 else -f)
+    f = rf_sum(parts)
+    return f if den is None else f.over(den)
 
-    The memo stores, per cover structure (elements relabeled by rank), the
-    value in positional variables; a hit is renamed into the caller's
-    binding.  Renaming is sound because every identity used is a
-    multiplicative substitution, and it lets recursion branches that build
-    equal structures with different labels share work.
+
+def apply_deletion(p, b, monos, recur):
+    """f_P at monos from f of the poset without the removable element b."""
+    return _evaluate(deletion_rhs(p, b, monos), recur)
+
+
+def apply_ple(p, antichain, monos, recur):
+    """f_P at monos by inclusion-exclusion over the antichain's subsets."""
+    return _evaluate(gluing_rhs(p, antichain, monos), recur)
+
+
+def _step(q, monos, strategy, recur):
+    kind, arg = strategy(q)
+    apply = apply_deletion if kind == "delete" else apply_ple
+    return apply(q, arg, monos, recur)
+
+
+def _shape(q):
+    """Cover structure with the elements relabeled by rank."""
+    index = {e: i for i, e in enumerate(q.elements)}
+    return len(q.elements), tuple(sorted((index[x], index[y]) for x, y in q.covers))
+
+
+# -- the two recursions ----------------------------------------------------
+
+def gfun(p, monos=None, strategy=default_strategy, memo=None, trace=None):
+    """Generating function of the P-partitions of p at x_a := monos[a]
+    (by default the variable x<a>), memoized on cover structure.
+
+    The memo stores, per cover structure, the value in positional
+    variables v0, v1, ...; the caller's monomials are substituted into it
+    on return.  This is sound because every identity used is a
+    multiplicative substitution.  Onto distinct plain variables the
+    substitution is a renaming, which maps a normal form to one; under any
+    other binding the result is renormalized.
 
     trace, when given, is a list collecting (parent_antichain_count,
     child_antichain_count) for every recursion edge; the count strictly
     decreases along every path, which is also asserted.  Tracing is meant
     for small posets since the count is computed by brute force.
     """
-    if bind is None:
-        bind = default_binding(p)
+    if monos is None:
+        monos = default_binding(p)
+    _check_binding(monos)
     if memo is None:
         memo = {}
-
-    def go(q, qbind):
-        if not q.elements:
-            return RationalFunction.one()
-        template = go_canonical(q)
-        names = [qbind[e] for e in q.elements]
-        ren = {"v%d" % i: mono_var(name) for i, name in enumerate(names)}
-        # onto distinct names the renaming keeps the normal form; a caller's
-        # binding may repeat a name, and then the result is renormalized
-        return template.substitute(ren, normalize=len(set(names)) < len(names))
-
-    def go_canonical(q):
-        index = {e: i for i, e in enumerate(q.elements)}
-        key = (len(q.elements),
-               tuple(sorted((index[x], index[y]) for x, y in q.covers)))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        canon = {e: "v%d" % i for i, e in enumerate(q.elements)}
-        if trace is None:
-            recur = go
-        else:
-            parent_ac = q.antichain_count()
-
-            def recur(child, child_bind):
-                child_ac = child.antichain_count()
-                trace.append((parent_ac, child_ac))
-                assert child_ac < parent_ac, "antichain count failed to decrease"
-                return go(child, child_bind)
-
-        kind, arg = strategy(q)
-        if kind == "delete":
-            f = apply_deletion(q, arg, canon, recur)
-        else:
-            f = apply_ple(q, arg, canon, recur)
-        memo[key] = f
-        return f
-
-    return go(p, dict(bind))
-
-
-def gfun_at(p, monos, strategy=default_strategy, memo=None):
-    """f_P evaluated at x_a := monos[a], each value a non-constant monomial.
-
-    Equal to gfun(p) followed by the substitution, but keeps every
-    intermediate value in the target variables, which is exponentially
-    smaller when many elements share a variable (the all-q case).  The
-    deletion and gluing identities specialize verbatim because their
-    substitutions are multiplicative.
-    """
-    if memo is None:
-        memo = {}
-
-    def key(q, qmonos):
-        index = {e: i for i, e in enumerate(q.elements)}
-        covers = tuple(sorted((index[x], index[y]) for x, y in q.covers))
-        vals = tuple(qmonos[e] for e in q.elements)
-        return (len(q.elements), covers, vals)
 
     def go(q, qmonos):
         if not q.elements:
             return RationalFunction.one()
-        k = key(q, qmonos)
-        hit = memo.get(k)
-        if hit is not None:
-            return hit
-        kind, arg = strategy(q)
-        if kind == "delete":
-            b = arg
-            mb = qmonos[b]
-            lowers = q.lower_covers(b)
-            uppers = q.upper_covers(b)
-            sub_poset = q.delete(b)
-            monos_g = {e: qmonos[e] for e in sub_poset.elements}
-            if uppers:
-                c = uppers[0]
-                monos_g[c] = mono_mul(mb, monos_g[c])
-            f = go(sub_poset, monos_g)
-            if lowers:
-                a = lowers[0]
-                monos_h = {e: qmonos[e] for e in sub_poset.elements}
-                monos_h[a] = mono_mul(monos_h[a], mb)
-                h = go(sub_poset, monos_h) * Polynomial.term(mb)
-                f = (f - h).over(mb)
-            else:
-                f = f.over(mb)
-        else:
-            members = sorted(arg)
-            parts = []
-            for mask in range(1, 1 << len(members)):
-                m_set = frozenset(members[i] for i in range(len(members))
-                                  if mask >> i & 1)
-                glued_poset, glued = q.ple(m_set, members)
-                sub_monos = {e: qmonos[e] for e in glued_poset.elements
-                             if e != glued}
-                prod = ()
-                for e in m_set:
-                    prod = mono_mul(prod, qmonos[e])
-                sub_monos[glued] = prod
-                f_sub = go(glued_poset, sub_monos)
-                parts.append(f_sub if len(m_set) % 2 else -f_sub)
-            f = rf_sum(parts)
-        memo[k] = f
+        vals = [qmonos[e] for e in q.elements]
+        renaming = (len(set(vals)) == len(vals)
+                    and all(len(m) == 1 and m[0][1] == 1 for m in vals))
+        return template(q).substitute(
+            {"v%d" % i: m for i, m in enumerate(vals)}, normalize=not renaming)
+
+    def template(q):
+        key = _shape(q)
+        f = memo.get(key)
+        if f is None:
+            canon = {e: mono_var("v%d" % i) for i, e in enumerate(q.elements)}
+            f = memo[key] = _step(q, canon, strategy, recur_from(q))
         return f
 
-    for e, m in monos.items():
-        if not m:
-            raise ValueError("element %r bound to the constant monomial" % (e,))
-    return go(p, dict(monos))
+    def recur_from(q):
+        if trace is None:
+            return go
+        parent_ac = q.antichain_count()
+
+        def recur(child, child_monos):
+            child_ac = child.antichain_count()
+            trace.append((parent_ac, child_ac))
+            assert child_ac < parent_ac, "antichain count failed to decrease"
+            return go(child, child_monos)
+
+        return recur
+
+    return go(p, monos)
+
+
+def gfun_at(p, monos, strategy=default_strategy, memo=None):
+    """f_P evaluated at x_a := monos[a], each value a non-constant monomial,
+    memoized on cover structure plus monomials.
+
+    Equal to gfun(p, monos), but keeps every intermediate value in the
+    target variables, which is exponentially smaller when many elements
+    share a variable (the all-q case).
+    """
+    _check_binding(monos)
+    if memo is None:
+        memo = {}
+
+    def go(q, qmonos):
+        if not q.elements:
+            return RationalFunction.one()
+        key = (_shape(q), tuple(qmonos[e] for e in q.elements))
+        f = memo.get(key)
+        if f is None:
+            f = memo[key] = _step(q, qmonos, strategy, go)
+        return f
+
+    return go(p, monos)
 
 
 def gfun_q(p, strategy=default_strategy):

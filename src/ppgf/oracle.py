@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .algebra import Polynomial
 
 
-def default_binding(p):
-    return {e: "x%d" % e for e in p.elements}
-
-
 def _linear_extension(p):
     order = []
     placed = set()
@@ -55,32 +51,22 @@ def enumerate_ppartitions(p, bound):
     yield from assign(0)
 
 
-def truncated_gf(p, bound, bind=None, truncation="degree"):
-    """Sum of prod x_a^sigma(a) over the enumerated maps.
-
-    truncation="degree" keeps terms of total degree <= bound (the series
-    surface used everywhere); truncation="value" keeps one term per map
-    with all values <= bound (internal consistency checks only).
-    """
-    if bind is None:
-        bind = default_binding(p)
+def truncated_gf(p, bound):
+    """Sum of prod x_a^sigma(a) over the enumerated maps, keeping the terms
+    of total degree <= bound."""
     order = _linear_extension(p)
     lowers = {e: p.lower_covers(e) for e in order}
-    by_degree = truncation == "degree"
     terms = {}
     sigma = {}
 
     def assign(i, total):
         if i == len(order):
-            m = tuple(sorted((bind[e], v) for e, v in sigma.items() if v))
+            m = tuple(sorted(("x%d" % e, v) for e, v in sigma.items() if v))
             terms[m] = terms.get(m, 0) + 1
             return
         e = order[i]
         ub = min((sigma[a] for a in lowers[e]), default=bound)
-        ub = min(ub, bound)
-        if by_degree:
-            ub = min(ub, bound - total)
-        for v in range(ub + 1):
+        for v in range(min(ub, bound - total) + 1):
             sigma[e] = v
             assign(i + 1, total + v)
         del sigma[e]
@@ -107,13 +93,13 @@ class VerifyResult:
                 % (mono_str(self.monomial), self.expected, self.actual))
 
 
-def verify(p, f, bound, bind=None):
+def verify(p, f, bound):
     """Compare the series of f against the enumerated truncation.
 
     Returns a VerifyResult; on failure it carries the first differing
     monomial (in graded order) with both coefficients.
     """
-    expected = truncated_gf(p, bound, bind=bind)
+    expected = truncated_gf(p, bound)
     actual = f.series(bound)
     if expected == actual:
         return VerifyResult(True)

@@ -13,15 +13,10 @@ the set of states under elimination yields the full recurrence system,
 which can then be iterated to any n.
 
 During elimination every surviving element carries its current variable
-as a monomial in the original variables, so the substitutions of both
-transformations reduce to monomial bookkeeping:
-
-  * deleting b with upper cover c and lower cover a splits a branch in
-    two: the first gains 1/(1 - m_b) and multiplies m_c by m_b, the
-    second gains -m_b/(1 - m_b) and multiplies m_a by m_b;
-  * gluing M inside an incomparable pair replaces the members' monomials
-    by their product, with the inclusion-exclusion sign.
-
+as a monomial in the original variables, which is the engine's binding,
+so elimination walks the engine's right-hand sides (engine.deletion_rhs,
+engine.gluing_rhs): each term of one continues the branch on its child
+poset and binding, with the coefficient times sign * multiplier / (1 - m).
 Placeholders are never deleted or glued; only their monomials absorb
 multipliers, which become the argument substitutions of the recurrence.
 """
@@ -34,7 +29,7 @@ from .algebra import (Q, Polynomial, RationalFunction, dense_eval,
                       dense_product, dense_sum, dense_to_rf, mono_var,
                       mono_mul, mono_subst, mono_str, rf_sum)
 from .poset import Poset, rplus, rplus_offset
-from . import engine
+from . import engine, families
 from .families import BlockDecomposition
 
 
@@ -79,55 +74,49 @@ class Transition:
 
 
 class Prefix:
-    """Elimination workspace: the real elements still to be removed, one
-    protected placeholder copy of the block, and per-element monomials."""
+    """Elimination workspace: a poset of the real elements still to be
+    removed and one protected placeholder copy of the block (ph_to_block
+    maps each placeholder to its block element), and per-element monomials."""
 
-    def __init__(self, poset, reals, ph_to_block, monos, block_size):
+    def __init__(self, poset, ph_to_block, monos, block_size):
         self.poset = poset
-        self.reals = frozenset(reals)
         self.ph_to_block = dict(ph_to_block)
         self.monos = dict(monos)
         self.block_size = block_size
 
 
-def state_prefix(block, rel, state):
-    """Workspace for eliminating chain (+) block ahead of a next copy."""
-    k = state.chain_length
-    chain_poset = Poset.build(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
-    w1 = rplus(chain_poset, block, set(state.interface))
-    off1 = rplus_offset(chain_poset, block)
-    off2 = rplus_offset(w1, block)
-    w2 = rplus(w1, block, {(x + off1, y) for x, y in rel})
-    monos = {i: mono_var("c%d" % i) for i in range(1, k + 1)}
-    for e in block.elements:
-        monos[e + off1] = mono_var("p%d" % e)
-        monos[e + off2] = mono_var("n%d" % e)
-    reals = set(range(1, k + 1)) | {e + off1 for e in block.elements}
-    ph = {e + off2: e for e in block.elements}
-    return Prefix(w2, reals, ph, monos, len(block.elements))
-
-
-def entry_prefix(block, rel, seed, seed_rel):
-    """Workspace for eliminating seed (+) block ahead of a next copy."""
+def _prefix(block, rel, seed, seed_rel, letter):
+    """Workspace for eliminating seed (+) block ahead of a next copy, the
+    seed's element e bound to the variable <letter><e>."""
     w1 = rplus(seed, block, set(seed_rel))
     off1 = rplus_offset(seed, block)
     off2 = rplus_offset(w1, block)
     w2 = rplus(w1, block, {(x + off1, y) for x, y in rel})
-    monos = {e: mono_var("a%d" % e) for e in seed.elements}
+    monos = {e: mono_var("%s%d" % (letter, e)) for e in seed.elements}
     for e in block.elements:
         monos[e + off1] = mono_var("p%d" % e)
         monos[e + off2] = mono_var("n%d" % e)
-    reals = set(seed.elements) | {e + off1 for e in block.elements}
     ph = {e + off2: e for e in block.elements}
-    return Prefix(w2, reals, ph, monos, len(block.elements))
+    return Prefix(w2, ph, monos, len(block.elements))
+
+
+def state_prefix(block, rel, state):
+    """Workspace for eliminating chain (+) block ahead of a next copy."""
+    return _prefix(block, rel, families.chain(state.chain_length),
+                   state.interface, "c")
+
+
+def entry_prefix(block, rel, seed, seed_rel):
+    """Workspace for eliminating seed (+) block ahead of a next copy."""
+    return _prefix(block, rel, seed, seed_rel, "a")
 
 
 def eliminate_prefix(prefix):
     """All terminal branches of the elimination, combined by (target state,
     argument substitution) with coefficients summed."""
     leaves = []
-    _eliminate(prefix.poset, prefix.reals, prefix.monos,
-               RationalFunction.one(), prefix, leaves)
+    _eliminate(prefix.poset, prefix.monos, RationalFunction.one(), prefix,
+               leaves)
     combined = {}
     for coef, state, chain_args, mults in leaves:
         key = (state, chain_args, mults)
@@ -138,53 +127,26 @@ def eliminate_prefix(prefix):
     return terms
 
 
-def _eliminate(poset, reals, monos, coef, prefix, leaves):
-    removable = sorted(
-        b for b in reals
-        if len(poset.lower_covers(b)) <= 1 and len(poset.upper_covers(b)) <= 1)
+def _eliminate(poset, monos, coef, prefix, leaves):
+    """Delete the smallest removable real element, else glue the smallest
+    incomparable pair of real elements; each term of the identity's
+    right-hand side carries coef * sign * multiplier / (1 - m)."""
+    reals = [e for e in poset.elements if e not in prefix.ph_to_block]
+    removable = [b for b in reals if len(poset.lower_covers(b)) <= 1
+                 and len(poset.upper_covers(b)) <= 1]
     if removable:
-        b = removable[0]
-        mb = monos[b]
-        lowers = poset.lower_covers(b)
-        uppers = poset.upper_covers(b)
-        sub_poset = poset.delete(b)
-        sub_reals = reals - {b}
-        monos_g = dict(monos)
-        del monos_g[b]
-        if uppers:
-            c = uppers[0]
-            monos_g[c] = mono_mul(mb, monos_g[c])
-        _eliminate(sub_poset, sub_reals, monos_g, coef.over(mb), prefix, leaves)
-        if lowers:
-            a = lowers[0]
-            monos_h = dict(monos)
-            del monos_h[b]
-            monos_h[a] = mono_mul(monos_h[a], mb)
-            coef_h = (coef * Polynomial.term(mb, -1)).over(mb)
-            _eliminate(sub_poset, sub_reals, monos_h, coef_h, prefix, leaves)
-        return
-    pair = None
-    ordered = sorted(reals)
-    for i, u in enumerate(ordered):
-        for v in ordered[i + 1:]:
-            if not poset.comparable(u, v):
-                pair = (u, v)
-                break
-        if pair:
-            break
-    if pair is None:
-        leaves.append(_leaf(poset, reals, monos, coef, prefix))
-        return
-    u, v = pair
-    for m_set, sign in (((u,), 1), ((v,), 1), ((u, v), -1)):
-        glued_poset, glued = poset.ple(m_set, pair)
-        monos2 = dict(monos)
-        prod = ()
-        for e in m_set:
-            prod = mono_mul(prod, monos2.pop(e))
-        monos2[glued] = prod
-        reals2 = (reals - set(m_set)) | {glued}
-        _eliminate(glued_poset, reals2, monos2, coef * sign, prefix, leaves)
+        den, terms = engine.deletion_rhs(poset, removable[0], monos)
+    else:
+        pair = next(((u, v) for i, u in enumerate(reals) for v in reals[i + 1:]
+                     if not poset.comparable(u, v)), None)
+        if pair is None:
+            leaves.append(_leaf(poset, set(reals), monos, coef, prefix))
+            return
+        den, terms = engine.gluing_rhs(poset, pair, monos)
+    for sign, mult, child, child_monos in terms:
+        c = coef * Polynomial.term(mult, sign) if mult or sign < 0 else coef
+        _eliminate(child, child_monos, c if den is None else c.over(den),
+                   prefix, leaves)
 
 
 def _leaf(poset, reals, monos, coef, prefix):
@@ -242,8 +204,7 @@ class RecurrenceSystem:
     def state_poset(self, state, tail=None, tail_rel=()):
         """chain (+interface) block (+tail_rel) tail, with the id map."""
         k = state.chain_length
-        chain_poset = Poset.build(range(1, k + 1),
-                                  [(i, i + 1) for i in range(1, k)])
+        chain_poset = families.chain(k)
         off1 = rplus_offset(chain_poset, self.block)
         out = rplus(chain_poset, self.block, set(state.interface))
         idmap = {("chain", i): i for i in range(1, k + 1)}
@@ -265,20 +226,12 @@ class RecurrenceSystem:
         if hit is not None:
             return hit
         poset, idmap = self.state_poset(state, tail, tail_rel)
-        bind = {}
-        keep = set()
-        for spec, wid in idmap.items():
-            if spec[0] == "chain":
-                bind[wid] = "c%d" % spec[1]
-                keep.add(bind[wid])
-            elif spec[0] == "copy":
-                bind[wid] = "p%d" % spec[2]
-                keep.add(bind[wid])
-            else:
-                bind[wid] = "b%d" % spec[1]
-        f = engine.gfun(poset, bind)
+        letter = {"chain": "c", "copy": "p", "tail": "b"}
+        names = {wid: "%s%d" % (letter[spec[0]], spec[-1])
+                 for spec, wid in idmap.items()}
+        f = engine.gfun(poset, {e: mono_var(v) for e, v in names.items()})
         if q_only:
-            f = f.specialize_q(keep)
+            f = f.specialize_q(v for v in names.values() if v[0] != "b")
         self._base_cache[key] = f
         return f
 

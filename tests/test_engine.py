@@ -56,7 +56,7 @@ def test_apply_deletion_diamond():
 
 def test_apply_deletion_isolated_element():
     p = antichain(1)
-    f = apply_deletion(p, 1, {1: "x1"}, recur)
+    f = apply_deletion(p, 1, {1: mono_var("x1")}, recur)
     assert f == R("1/(1-x1)")
 
 
@@ -114,7 +114,8 @@ def test_gfun_at_arbitrary_monomials():
 def test_gfun_binding_with_repeated_name():
     # x2 = x3 = y turns the numerator into 1 - (x1*y)^2, which (1 - x1*y)
     # divides: the renamed result has to be renormalized
-    bind = {1: "x1", 2: "y", 3: "y", 4: "x4"}
+    y = mono_var("y")
+    bind = {1: mono_var("x1"), 2: y, 3: y, 4: mono_var("x4")}
     f = gfun(diamond(), bind)
     expected = gfun(diamond()).substitute({"x2": mono_var("y"),
                                            "x3": mono_var("y")})
@@ -127,12 +128,43 @@ def test_gfun_binding_with_repeated_name():
 @given(posets(max_size=6), st.data())
 def test_gfun_binding_equals_substitution(p, data):
     names = st.sampled_from(("y1", "y2", "y3"))
-    bind = {e: data.draw(names) for e in p.elements}
+    bind = {e: mono_var(data.draw(names)) for e in p.elements}
     f = gfun(p, bind)
-    expected = gfun(p).substitute({"x%d" % e: mono_var(name)
-                                   for e, name in bind.items()})
+    expected = gfun(p).substitute({"x%d" % e: m for e, m in bind.items()})
     assert f == expected
     assert rf_eq(f, expected)
+
+
+def test_gfun_rejects_constant_monomial():
+    with pytest.raises(ValueError):
+        gfun(chain(2), {1: mono_var("y"), 2: ()})
+    with pytest.raises(ValueError):
+        gfun_at(chain(2), {1: mono_var("y"), 2: ()})
+
+
+MONOMIALS = st.sampled_from([mono_var("y1"), mono_var("y2"), mono_var("y1", 2),
+                             mono_var("y2", 3), (("y1", 1), ("y2", 1)),
+                             (("y1", 2), ("y2", 1))])
+
+
+@settings(max_examples=30, deadline=None)
+@given(posets(max_size=6), st.data())
+def test_every_recursion_and_identity_agrees_at_monomials(p, data):
+    # bindings share variables and raise them to powers up to 3, so the
+    # substitution into each memoized value must be renormalized
+    monos = {e: data.draw(MONOMIALS) for e in p.elements}
+    expected = gfun(p).substitute({"x%d" % e: m for e, m in monos.items()})
+    values = [gfun(p, monos), gfun_at(p, monos)]
+    for recursion in (gfun, gfun_at):
+        values += [apply_deletion(p, b, monos, recursion)
+                   for b in sorted(p.removable_elements())]
+    pairs = sorted(map(sorted, p.antichains_of_size(2)))
+    if pairs:
+        a = data.draw(st.sampled_from(pairs))
+        values += [apply_ple(p, a, monos, recursion)
+                   for recursion in (gfun, gfun_at)]
+    for f in values:
+        assert rf_eq(f, expected)
 
 
 def test_gfun_direct_sum_multiplies():

@@ -2,7 +2,7 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from ppgf.algebra import parse_polynomial, parse_rational
+from ppgf.algebra import Polynomial, mono, parse_polynomial, parse_rational
 from ppgf.families import antichain, chain, diamond
 from ppgf.oracle import enumerate_ppartitions, truncated_gf, verify
 
@@ -46,9 +46,15 @@ def test_enumerate_is_sound_and_duplicate_free(p, bound):
 
 @settings(max_examples=40, deadline=None)
 @given(posets(max_size=6), st.integers(min_value=0, max_value=4))
-def test_value_truncation_matches_enumeration_count(p, bound):
-    gf = truncated_gf(p, bound, truncation="value")
-    assert sum(gf.terms.values()) == len(list(enumerate_ppartitions(p, bound)))
+def test_truncation_matches_enumeration(p, bound):
+    # the two enumerators check each other: every map of total degree
+    # <= bound has all its values <= bound
+    terms = {}
+    for sigma in enumerate_ppartitions(p, bound):
+        if sum(sigma.values()) <= bound:
+            m = mono({"x%d" % e: v for e, v in sigma.items()})
+            terms[m] = terms.get(m, 0) + 1
+    assert truncated_gf(p, bound) == Polynomial(terms)
 
 
 def test_truncated_gf_antichain():

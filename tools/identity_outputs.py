@@ -1,0 +1,69 @@
+"""Print a fixed set of ppgf outputs, one line each, for byte comparison.
+
+A change meant to keep every result exactly as it was is checked by
+running this script against the old and the new source tree and
+comparing the two outputs byte for byte:
+
+    PYTHONPATH=/path/to/old/src python3 tools/identity_outputs.py > old.txt
+    PYTHONPATH=src python3 tools/identity_outputs.py > new.txt
+    cmp old.txt new.txt
+
+ppgf is imported from PYTHONPATH, so the same script serves both trees.
+The posets come from the benchmark's pinned corpora (perfbench/workloads.py).
+The eval disk cache is switched off, so every value is computed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+os.environ.pop("PPGF_CACHE_DIR", None)
+
+from ppgf import cli, engine  # noqa: E402
+from ppgf.poset import Poset  # noqa: E402
+from workloads import CORPUS_SEED, corpus  # noqa: E402
+
+STRATEGIES = (engine.default_strategy, engine.reversed_strategy,
+              engine.ple_first_strategy)
+EVAL = {"multicube": range(1, 5), "zigzag": range(1, 9),
+        "three_rowed": range(1, 5), "two_rowed_dd": range(2, 9)}
+MULTIVARIATE = {"zigzag": range(1, 5), "three_rowed": range(1, 3)}
+
+
+def emit(label, text):
+    print("%s\t%s" % (label, text.rstrip("\n").replace("\n", "\\n")))
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    emit(" ".join(argv), "exit %d: %s" % (rc, out.getvalue()))
+
+
+def main():
+    for i, p in enumerate(corpus(Poset, 120, 1, 7, 0.5, CORPUS_SEED)):
+        for s in STRATEGIES:
+            emit("gfun %d %s" % (i, s.__name__), engine.gfun(p, strategy=s).dumps())
+        emit("gfun_q %d" % i, engine.gfun_q(p).dumps())
+    for i, p in enumerate(corpus(Poset, 40, 10, 12, 0.35, CORPUS_SEED)):
+        emit("wide gfun_q %d" % i, engine.gfun_q(p).dumps())
+    for family, ns in EVAL.items():
+        for n in ns:
+            run_cli(["eval", "--family", family, "--n", str(n), "--json"])
+    for family, ns in MULTIVARIATE.items():
+        for n in ns:
+            run_cli(["eval", "--family", family, "--n", str(n),
+                     "--multivariate", "--json"])
+    for family in EVAL:
+        run_cli(["recurrence", "--family", family])
+        run_cli(["recurrence", "--family", family, "--json"])
+
+
+if __name__ == "__main__":
+    main()
