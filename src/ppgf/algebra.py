@@ -77,12 +77,6 @@ def mono_mul(a, b):
     return tuple(out)
 
 
-def mono_pow(a, k):
-    if k == 0 or not a:
-        return ()
-    return tuple((v, e * k) for v, e in a)
-
-
 def mono_deg(a):
     return sum(e for _, e in a)
 
@@ -267,14 +261,6 @@ class Polynomial:
         p = Polynomial.__new__(Polynomial)
         p.terms = {m: c for m, c in self.terms.items() if mono_deg(m) <= bound}
         return p
-
-    def collapse_to_q(self):
-        """Send every term to q^(total degree) and merge; used by tests and CLI."""
-        out = {}
-        for m, c in self.terms.items():
-            m2 = mono_var(Q, mono_deg(m))
-            out[m2] = out.get(m2, 0) + c
-        return Polynomial(out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _mono_sortkey(t[0]))
@@ -513,11 +499,6 @@ class RationalFunction:
     def one(cls):
         return cls(Polynomial.one(), ())
 
-    @classmethod
-    def geometric(cls, m):
-        """1 / (1 - m)."""
-        return cls(Polynomial.one(), (m,), normalize=False)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -564,14 +545,8 @@ class RationalFunction:
 
     def specialize_q(self, keep=()):
         """Send every variable outside keep (and not q itself) to q."""
-        keep = set(keep)
-        keep.add(Q)
-        qm = mono_var(Q)
-        vs = self.num.variables()
-        for m in self.den:
-            for v, _ in m:
-                vs.add(v)
-        sub = {v: qm for v in vs if v not in keep}
+        keep = set(keep) | {Q}
+        sub = {v: mono_var(Q) for v in self.variables() - keep}
         return self.substitute(sub) if sub else self
 
     def series(self, bound):

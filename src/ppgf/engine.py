@@ -171,7 +171,7 @@ def _shape(q):
 
 # -- the two recursions ----------------------------------------------------
 
-def gfun(p, monos=None, strategy=default_strategy, memo=None, trace=None):
+def gfun(p, monos=None, strategy=default_strategy, memo=None):
     """Generating function of the P-partitions of p at x_a := monos[a]
     (by default the variable x<a>), memoized on cover structure.
 
@@ -181,11 +181,6 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None, trace=None):
     multiplicative substitution.  Onto distinct plain variables the
     substitution is a renaming, which maps a normal form to one; under any
     other binding the result is renormalized.
-
-    trace, when given, is a list collecting (parent_antichain_count,
-    child_antichain_count) for every recursion edge; the count strictly
-    decreases along every path, which is also asserted.  Tracing is meant
-    for small posets since the count is computed by brute force.
     """
     if monos is None:
         monos = default_binding(p)
@@ -207,21 +202,8 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None, trace=None):
         f = memo.get(key)
         if f is None:
             canon = {e: mono_var("v%d" % i) for i, e in enumerate(q.elements)}
-            f = memo[key] = _step(q, canon, strategy, recur_from(q))
+            f = memo[key] = _step(q, canon, strategy, go)
         return f
-
-    def recur_from(q):
-        if trace is None:
-            return go
-        parent_ac = q.antichain_count()
-
-        def recur(child, child_monos):
-            child_ac = child.antichain_count()
-            trace.append((parent_ac, child_ac))
-            assert child_ac < parent_ac, "antichain count failed to decrease"
-            return go(child, child_monos)
-
-        return recur
 
     return go(p, monos)
 

@@ -3,10 +3,12 @@ generating-function engine needs: deletion of an element, gluing an
 antichain subset (partially linear extension), and the partially ordinal
 sum of two posets along a relation, with n-fold powers.
 
-A poset is immutable after construction.  It stores the cover relation
-(a transitive reduction) together with the cached strict-order closure;
-every constructor validates acyclicity and recomputes the reduction, so
-arbitrary acyclic relations are accepted as input.
+A poset is immutable after construction and stores its strict order as
+up-sets.  Only Poset.build validates and closes a relation, so any
+acyclic relation is accepted as input; deletion, gluing and the ordinal
+sums write the up-sets of their result directly.  Every poset derives its
+covers from its up-sets: the upper covers of x are the elements above x
+that are above nothing else above x.
 """
 
 from __future__ import annotations
@@ -52,64 +54,36 @@ def _closure_from_relation(elements, pairs):
             raise CycleDetected("reflexive pair (%r, %r)" % (x, y))
         succ[x].add(y)
     above = {}
-    state = {}  # 0 = in progress, 1 = done
-    order = []
-
-    def visit(v):
-        stack = [(v, iter(succ[v]))]
-        state[v] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state.get(w) == 0:
-                    raise CycleDetected("cycle through %r" % (w,))
-                if w not in state:
-                    state[w] = 0
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                state[node] = 1
-                order.append(node)
-
-    for e in elements:
-        if e not in state:
-            visit(e)
-    for e in order:  # children first
-        up = set()
-        for w in succ[e]:
-            up.add(w)
-            up |= above[w]
-        above[e] = up
+    while len(above) < len(succ):
+        ready = [e for e, s in succ.items() if e not in above and above.keys() >= s]
+        if not ready:
+            raise CycleDetected("cycle among %r" % sorted(succ.keys() - above.keys()))
+        for e in ready:  # every successor is closed already
+            above[e] = set(succ[e]).union(*(above[w] for w in succ[e]))
     return above
-
-
-def _reduce(elements, above):
-    """Cover pairs of the strict order given by its up-sets."""
-    covers = set()
-    for x in elements:
-        for y in above[x]:
-            if not any(y in above[z] for z in above[x] if z != y):
-                covers.add((x, y))
-    return covers
 
 
 class Poset:
     """Finite labeled poset; elements are opaque integer ids."""
 
-    __slots__ = ("elements", "covers", "_above", "_below", "name")
+    __slots__ = ("elements", "covers", "_above", "_below", "_upper", "_lower",
+                 "name")
 
     def __init__(self, elements, above, name=None):
         self.elements = tuple(sorted(elements))
         self._above = {e: frozenset(above[e]) for e in self.elements}
         below = {e: set() for e in self.elements}
+        lower = {e: set() for e in self.elements}
+        self._upper = {}
         for x, up in self._above.items():
             for y in up:
                 below[y].add(x)
+            upper = self._upper[x] = up.difference(*(self._above[z] for z in up))
+            for y in upper:
+                lower[y].add(x)
         self._below = {e: frozenset(s) for e, s in below.items()}
-        self.covers = frozenset(_reduce(self.elements, self._above))
+        self._lower = {e: frozenset(s) for e, s in lower.items()}
+        self.covers = frozenset((x, y) for x, up in self._upper.items() for y in up)
         self.name = name
 
     @classmethod
@@ -155,36 +129,24 @@ class Poset:
         return x == y or self.lt(x, y) or self.lt(y, x)
 
     def upper_covers(self, e):
-        return sorted(y for x, y in self.covers if x == e)
+        return sorted(self._upper[e])
 
     def lower_covers(self, e):
-        return sorted(x for x, y in self.covers if y == e)
-
-    def is_chain(self):
-        es = self.elements
-        return all(self.comparable(x, y) for x, y in combinations(es, 2))
-
-    def chain_order(self):
-        """Elements sorted from bottom to top; requires a chain."""
-        return sorted(self.elements, key=lambda e: len(self._below[e]))
+        return sorted(self._lower[e])
 
     # -- transformations ---------------------------------------------------
 
     def removable_elements(self):
         """Elements with at most one lower and at most one upper cover."""
-        out = set()
-        for e in self.elements:
-            if len(self.lower_covers(e)) <= 1 and len(self.upper_covers(e)) <= 1:
-                out.add(e)
-        return out
+        return {e for e in self.elements
+                if len(self._lower[e]) <= 1 and len(self._upper[e]) <= 1}
 
     def delete(self, b):
         """Induced subposet on the other elements."""
         if b not in self:
             raise UnknownElement("no element %r" % (b,))
-        keep = [e for e in self.elements if e != b]
-        above = {e: self._above[e] - {b} for e in keep}
-        return Poset(keep, above)
+        above = {e: up - {b} for e, up in self._above.items() if e != b}
+        return Poset(above.keys(), above)
 
     def ple(self, m_set, antichain):
         """Glue the elements of m_set (a nonempty subset of the antichain)
@@ -206,33 +168,18 @@ class Poset:
             if self.comparable(x, y):
                 raise NotAntichain("%r and %r are comparable" % (x, y))
         glued = max(self.elements) + 1 if self.elements else 1
-        keep = [e for e in self.elements if e not in m_set]
-        below_a = set()
-        for a in a_set:
-            below_a |= self._below[a]
-            below_a.add(a)
-        below_a -= m_set
-        above_m = set()
-        for u in m_set:
-            above_m |= self._above[u]
-        above_m -= m_set
-        pairs = set()
-        for x in keep:
-            for y in self._above[x]:
-                if y not in m_set:
-                    pairs.add((x, y))
+        below_a = set().union(a_set - m_set, *(self._below[a] for a in a_set))
+        above_m = frozenset().union(*(self._above[u] for u in m_set))
+        above = {x: up - m_set for x, up in self._above.items() if x not in m_set}
         for x in below_a:
-            for y in above_m:
-                pairs.add((x, y))
-            pairs.add((x, glued))
-        for y in above_m:
-            pairs.add((glued, y))
-        above = _closure_from_relation(set(keep) | {glued}, pairs)
-        # the gluing conditions define the order directly; closing must not
-        # add pairs, and antisymmetry is guaranteed by acyclicity above
-        assert all((x, y) in pairs for x in above for y in above[x]), \
+            above[x] |= above_m | {glued}
+        above[glued] = above_m
+        # the gluing conditions define the order directly: check that it is
+        # irreflexive and transitive (so also antisymmetric)
+        assert all(x not in up and all(above[y] <= up for y in up)
+                   for x, up in above.items()), \
             "gluing produced a non-transitive relation"
-        return Poset(set(keep) | {glued}, above), glued
+        return Poset(above.keys(), above), glued
 
     def antichains_of_size(self, k):
         """All antichains of cardinality exactly k, lexicographically."""

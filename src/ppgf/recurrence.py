@@ -23,6 +23,7 @@ multipliers, which become the argument substitutions of the recurrence.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import (Q, Polynomial, RationalFunction, dense_eval,
@@ -283,9 +284,9 @@ class RecurrenceSystem:
         Once every deep variable is q, each recursive call receives
         concrete powers of q for its frontier and first-copy arguments, so
         every value is univariate; memoizing on (state, level, argument
-        exponents) keeps the call tree polynomial.  Values below the entry
-        are dense (see algebra.dense_eval); the entry terms combine them as
-        RationalFunctions.
+        exponents) keeps the call tree polynomial.  Every value, the entry
+        terms' included, is dense (see algebra.dense_eval) until the result
+        is returned as a RationalFunction.
         """
         memo = self._level_cache.setdefault(("q", tail, frozenset(tail_rel)), {})
         block_elts = tuple(sorted(self.block.elements))
@@ -318,23 +319,11 @@ class RecurrenceSystem:
             memo[key] = f
             return f
 
-        ones = {}
-        for t in self.entry:
-            for arg in t.chain_args:
-                ones.update((v, 1) for v, _ in arg)
-            for _, mult in t.copy_mults:
-                ones.update((v, 1) for v, _ in mult)
-        for e in self.seed.elements:
-            ones["a%d" % e] = 1
-        for b in block_elts:
-            ones["p%d" % b] = 1
-        qsub = {v: mono_var(Q) for v in ones}
-        parts = []
-        for t in self.entry:
-            tc, tp = arg_exponents(t, ones)
-            parts.append(t.coef.substitute(qsub).specialize_q()
-                         * dense_to_rf(eval_state(t.target, n - 1, tc, tp)))
-        return rf_sum(parts)
+        ones = defaultdict(lambda: 1)  # every entry variable is q
+        return dense_to_rf(dense_sum(
+            dense_product(dense_eval(t.coef, ones),
+                          eval_state(t.target, n - 1, *arg_exponents(t, ones)))
+            for t in self.entry))
 
     def evaluate(self, n, tail=None, tail_rel=(), q_only=True):
         """f_{X_n}; q-specialized by default, multivariate in the element

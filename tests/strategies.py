@@ -1,7 +1,8 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and helpers for the test suite."""
 
 from hypothesis import strategies as st
 
+from ppgf import engine
 from ppgf.poset import Poset
 
 
@@ -15,3 +16,25 @@ def posets(draw, max_size=7):
             if draw(st.booleans()):
                 pairs.append((i, j))
     return Poset.build(range(1, n + 1), pairs)
+
+
+def recursion_edges(p, strategy=engine.default_strategy):
+    """(parent, child) nonempty-antichain counts on every edge of gfun's
+    recursion from p: each cover structure is expanded once, as gfun's
+    memo does, through the identities' right-hand sides."""
+    edges = []
+    seen = set()
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        key = engine._shape(q)
+        if not q.elements or key in seen:
+            continue
+        seen.add(key)
+        kind, arg = strategy(q)
+        rhs = engine.deletion_rhs if kind == "delete" else engine.gluing_rhs
+        parent = q.antichain_count()
+        for _, _, child, _ in rhs(q, arg, engine.default_binding(q))[1]:
+            edges.append((parent, child.antichain_count()))
+            todo.append(child)
+    return edges

@@ -312,7 +312,8 @@ def test_specialize_q_commutes_with_series(data):
     f = data.draw(rationals())
     bound = data.draw(st.integers(min_value=0, max_value=8))
     lhs = f.specialize_q().series(bound)
-    rhs = f.series(bound).collapse_to_q()
+    p = f.series(bound)
+    rhs = p.substitute({v: mono_var("q") for v in p.variables()})
     assert lhs == rhs
 
 

@@ -8,7 +8,7 @@ from ppgf.engine import (NotRemovable, apply_deletion, apply_ple,
 from ppgf.families import antichain, chain, diamond
 from ppgf.oracle import truncated_gf, verify
 from ppgf.poset import Poset
-from strategies import posets
+from strategies import posets, recursion_edges
 
 R = parse_rational
 
@@ -218,8 +218,7 @@ def test_gluing_identity_everywhere(p, data):
 @settings(max_examples=40, deadline=None)
 @given(posets(max_size=6))
 def test_trace_shows_decreasing_antichain_count(p):
-    trace = []
-    gfun(p, trace=trace)
+    trace = recursion_edges(p)
     assert all(child < parent for parent, child in trace)
     if p.elements:
         assert trace

@@ -2,7 +2,8 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from ppgf.algebra import Polynomial, mono, parse_polynomial, parse_rational
+from ppgf.algebra import (Polynomial, mono, mono_var, parse_polynomial,
+                          parse_rational)
 from ppgf.families import antichain, chain, diamond
 from ppgf.oracle import enumerate_ppartitions, truncated_gf, verify
 
@@ -67,7 +68,8 @@ def test_truncated_gf_empty():
 
 
 def test_truncated_gf_diamond_q():
-    gf = truncated_gf(diamond(), 2).collapse_to_q()
+    p = truncated_gf(diamond(), 2)
+    gf = p.substitute({v: mono_var("q") for v in p.variables()})
     assert gf == parse_polynomial("1 + q + 3*q^2")
 
 

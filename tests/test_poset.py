@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -247,6 +249,85 @@ def test_rplus_direct_sum_keeps_comparability_apart(p, q):
         assert {y for y in s.above(x)} == p.above(x)
     for x in q.elements:
         assert {y - off for y in s.above(x + off)} == q.above(x)
+
+
+def _cover_pairs(p):
+    """x < y with no z strictly between, straight from the definition."""
+    es = p.elements
+    return {(x, y) for x in es for y in es if p.lt(x, y)
+            and not any(p.lt(x, z) and p.lt(z, y) for z in es)}
+
+
+def _glued_by_pairs(p, m_set, a_set):
+    """ple(m_set, a_set) as the closure of the gluing relation's pairs."""
+    glued = max(p.elements) + 1
+    keep = [e for e in p.elements if e not in m_set]
+    below_a = {x for x in keep if any(x == a or p.lt(x, a) for a in a_set)}
+    above_m = {y for y in keep if any(p.lt(u, y) for u in m_set)}
+    pairs = {(x, y) for x in keep for y in p.above(x) if y not in m_set}
+    pairs |= {(x, y) for x in below_a for y in above_m | {glued}}
+    pairs |= {(glued, y) for y in above_m}
+    return Poset.build(set(keep) | {glued}, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=7), st.data())
+def test_build_closes_any_acyclic_relation(n, data):
+    pairs = data.draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                              .filter(lambda t: t[0] < t[1]))) if n > 1 else set()
+    reach = set(pairs)
+    for z in range(1, n + 1):  # Warshall
+        reach |= {(x, y) for x, z1 in reach if z1 == z
+                  for z2, y in reach if z2 == z}
+    p = Poset.build(range(1, n + 1), pairs)
+    assert {(x, y) for x in p.elements for y in p.above(x)} == reach
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(), st.data())
+def test_build_detects_planted_cycle(p, data):
+    if len(p) < 2:
+        return
+    cycle = data.draw(st.lists(st.sampled_from(p.elements), min_size=2,
+                               unique=True))
+    pairs = set(p.covers) | set(zip(cycle, cycle[1:] + cycle[:1]))
+    with pytest.raises(CycleDetected):
+        Poset.build(p.elements, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(posets())
+def test_cover_queries_match_definition(p):
+    covers = _cover_pairs(p)
+    assert p.covers == covers
+    for e in p.elements:
+        assert p.upper_covers(e) == sorted(y for x, y in covers if x == e)
+        assert p.lower_covers(e) == sorted(x for x, y in covers if y == e)
+    assert p.removable_elements() == {
+        e for e in p.elements
+        if sum(x == e for x, _ in covers) <= 1 and sum(y == e for _, y in covers) <= 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_delete_is_the_induced_subposet(p):
+    for b in p.elements:
+        rest = [e for e in p.elements if e != b]
+        induced = {(x, y) for x in rest for y in rest if p.lt(x, y)}
+        assert p.delete(b) == Poset.build(rest, induced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_size=6))
+def test_ple_matches_closure_of_gluing_relation(p):
+    for k in (2, 3):
+        for a in p.antichains_of_size(k):
+            for r in range(1, k + 1):
+                for m in combinations(sorted(a), r):
+                    glued, g = p.ple(m, a)
+                    want = _glued_by_pairs(p, set(m), a)
+                    assert g == max(p.elements) + 1
+                    assert glued == want and glued.covers == want.covers
 
 
 # -- text format ------------------------------------------------------------------

@@ -10,6 +10,9 @@ comparing the two outputs byte for byte:
 
 ppgf is imported from PYTHONPATH, so the same script serves both trees.
 The posets come from the benchmark's pinned corpora (perfbench/workloads.py).
+The first section prints the poset layer itself: every deletion of a
+removable element and every gluing along a 2-antichain of the first 40
+acceptance-corpus posets.
 The eval disk cache is switched off, so every value is computed.
 """
 
@@ -25,7 +28,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 os.environ.pop("PPGF_CACHE_DIR", None)
 
 from ppgf import cli, engine  # noqa: E402
-from ppgf.poset import Poset  # noqa: E402
+from ppgf.poset import Poset, render_poset_text  # noqa: E402
 from workloads import CORPUS_SEED, corpus  # noqa: E402
 
 STRATEGIES = (engine.default_strategy, engine.reversed_strategy,
@@ -46,8 +49,23 @@ def run_cli(argv):
     emit(" ".join(argv), "exit %d: %s" % (rc, out.getvalue()))
 
 
+def poset_layer(posets):
+    """Every deletion and every gluing along a 2-antichain, as text."""
+    for i, p in enumerate(posets):
+        for b in sorted(p.removable_elements()):
+            emit("delete %d %d" % (i, b), render_poset_text(p.delete(b)))
+        for a in p.antichains_of_size(2):
+            x, y = sorted(a)
+            for m in ((x,), (y,), (x, y)):
+                child, glued = p.ple(m, a)
+                emit("ple %d %s %d %d" % (i, m, x, y),
+                     "glued %d: %s" % (glued, render_poset_text(child)))
+
+
 def main():
-    for i, p in enumerate(corpus(Poset, 120, 1, 7, 0.5, CORPUS_SEED)):
+    acceptance = list(corpus(Poset, 120, 1, 7, 0.5, CORPUS_SEED))
+    poset_layer(acceptance[:40])
+    for i, p in enumerate(acceptance):
         for s in STRATEGIES:
             emit("gfun %d %s" % (i, s.__name__), engine.gfun(p, strategy=s).dumps())
         emit("gfun_q %d" % i, engine.gfun_q(p).dumps())
