@@ -29,7 +29,6 @@ import json
 import operator
 import random
 import re
-from collections import Counter
 from itertools import accumulate, repeat
 
 Q = "q"
@@ -550,7 +549,10 @@ class RationalFunction:
         return self.substitute(sub) if sub else self
 
     def series(self, bound):
-        """Taylor expansion at 0 truncated to total degree <= bound."""
+        """Taylor expansion at 0 truncated to total degree <= bound.
+        A negative bound raises ValueError."""
+        if bound < 0:
+            raise ValueError("negative truncation bound %d" % bound)
         out = self.num.truncate(bound)
         for m in self.den:
             dm = mono_deg(m)
@@ -744,19 +746,27 @@ def _trim(a):
 
 def dense_normalize(num, den):
     """Cancel (1 - q^k) factors against num, as RationalFunction._normalize:
-    one pass in ascending k, stopping once the coefficient sum is nonzero."""
+    one pass in ascending k, stopping once the coefficient sum is nonzero.
+
+    A k that is a multiple of a k that failed is not tried: (1 - q^d)
+    divides (1 - q^k) when d divides k, and a factor that does not divide
+    the numerator does not divide its quotients either.
+    """
     if not num:
         return [], ()
-    den = list(den)
-    i = 0
-    while i < len(den) and not sum(num):
-        quot = dense_div_one_minus(num, den[i])
-        if quot is None:
-            i += 1
-        else:
-            num = quot
-            del den[i]
-    return num, tuple(den)
+    kept = []
+    failed = []
+    divisible = not sum(num)
+    for k in den:
+        if divisible and all(k % d for d in failed):
+            quot = dense_div_one_minus(num, k)
+            if quot is not None:
+                num = quot
+                divisible = not sum(num)
+                continue
+            failed.append(k)
+        kept.append(k)
+    return num, tuple(kept)
 
 
 def dense_eval(f, exps):
@@ -792,6 +802,58 @@ def dense_product(f, g):
     return dense_normalize(dense_mul(f[0], g[0]), sorted(f[1] + g[1]))
 
 
+def _dense_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return list(map(operator.add, a, b)) + a[len(b):]
+
+
+def _minus(a, b):
+    """The multiset difference a - b of two sorted sequences."""
+    out = []
+    j = 0
+    for k in a:
+        while j < len(b) and b[j] < k:
+            j += 1
+        if j < len(b) and b[j] == k:
+            j += 1
+        else:
+            out.append(k)
+    return out
+
+
+def _lift(parts):
+    """Sum of num * prod of (1 - q^k) over k in lack, for (num, lack) pairs.
+
+    The k lacked by the most parts multiplies their partial sum once, with
+    one k taken out of what each of them lacks; that repeats on the other
+    parts until no k is shared, and the rest are multiplied one by one.
+    """
+    total = []
+    while len(parts) > 1:
+        shared = {}
+        for _, lack in parts:
+            for k in set(lack):
+                shared[k] = shared.get(k, 0) + 1
+        k = max(shared, key=shared.get, default=0)
+        if shared.get(k, 0) < 2:
+            break
+        inner, rest = [], []
+        for num, lack in parts:
+            if k in lack:
+                i = lack.index(k)
+                inner.append((num, lack[:i] + lack[i + 1:]))
+            else:
+                rest.append((num, lack))
+        total = _dense_add(total, dense_mul_one_minus(_lift(inner), k))
+        parts = rest
+    for num, lack in parts:
+        for k in lack:
+            num = dense_mul_one_minus(num, k)
+        total = _dense_add(total, num)
+    return total
+
+
 def dense_sum(values):
     """Sum of dense values over the least common denominator, as rf_sum."""
     values = list(values)
@@ -799,18 +861,11 @@ def dense_sum(values):
         return [], ()
     if len(values) == 1:
         return values[0]
-    common = Counter()
+    common = []
     for _, den in values:
-        common |= Counter(den)
-    total = []
-    for num, den in values:
-        for k, mult in (common - Counter(den)).items():
-            for _ in range(mult):
-                num = dense_mul_one_minus(num, k)
-        if len(num) > len(total):
-            total, num = num, total
-        total = list(map(operator.add, total, num)) + total[len(num):]
-    return dense_normalize(_trim(total), sorted(common.elements()))
+        common = sorted(common + _minus(den, common))
+    total = _lift([(num, _minus(common, den)) for num, den in values])
+    return dense_normalize(_trim(total), common)
 
 
 def dense_to_rf(value):

@@ -71,9 +71,10 @@ def cmd_gfun(args):
 def cmd_qgfun(args):
     p = _input_poset(args)
     f = engine.gfun_q(p)
+    series = None if args.series is None else f.series(args.series)
     _print_rf(f, args.json)
-    if args.series is not None:
-        print("series:", f.series(args.series))
+    if series is not None:
+        print("series:", series)
     return 0
 
 

@@ -27,12 +27,15 @@ def _linear_extension(p):
 
 
 def enumerate_ppartitions(p, bound):
-    """Yield every order-reversing map with all values <= bound, once each.
+    """Iterator over every order-reversing map with all values <= bound,
+    once each.  A negative bound raises ValueError.
 
     Backtracks along a linear extension; since every smaller element is
     assigned first, the value of e is capped by the minimum over e's lower
     covers, which already enforces the full order-reversal constraint.
     """
+    if bound < 0:
+        raise ValueError("negative truncation bound %d" % bound)
     order = _linear_extension(p)
     lowers = {e: p.lower_covers(e) for e in order}
     sigma = {}
@@ -48,12 +51,14 @@ def enumerate_ppartitions(p, bound):
             yield from assign(i + 1)
         del sigma[e]
 
-    yield from assign(0)
+    return assign(0)
 
 
 def truncated_gf(p, bound):
     """Sum of prod x_a^sigma(a) over the enumerated maps, keeping the terms
-    of total degree <= bound."""
+    of total degree <= bound.  A negative bound raises ValueError."""
+    if bound < 0:
+        raise ValueError("negative truncation bound %d" % bound)
     order = _linear_extension(p)
     lowers = {e: p.lower_covers(e) for e in order}
     terms = {}

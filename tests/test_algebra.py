@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppgf import algebra
 from ppgf.algebra import (DenominatorCollapse, ParseError, Polynomial,
                           RationalFunction, dense_div_one_minus, dense_eval,
                           dense_mul, dense_mul_one_minus, dense_normalize,
@@ -446,6 +447,49 @@ def test_dense_normalize_keeps_factor_order():
     value = dense_normalize([1, 0, -1], (1, 2))
     assert value == ([1, 1], (2,))
     assert dense_to_rf(value) == RationalFunction(P("1 - q^2"), q_den([1, 2]))
+
+
+# k closed under divisors, so that denominators hold multiples of each other
+DIVISOR_KS = (1, 2, 3, 4, 6, 8, 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dense_sum_lifts_shared_factors_as_rf_sum(data):
+    # a few denominators shared among 3-8 parts, so that parts lack the
+    # same (1 - q^k) and are lifted together, recursively
+    dens = data.draw(st.lists(st.lists(st.sampled_from(DIVISOR_KS), max_size=5),
+                              min_size=1, max_size=3))
+    drawn = data.draw(st.lists(st.tuples(q_polynomials(), st.sampled_from(dens)),
+                               min_size=3, max_size=8))
+    dense = [(q_coeffs(p), tuple(sorted(ks))) for p, ks in drawn]
+    sparse = [RationalFunction(p, q_den(ks), normalize=False) for p, ks in drawn]
+    assert dense_to_rf(dense_sum(dense)) == rf_sum(sparse)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dense_normalize_with_multiples_matches_sparse(data):
+    num = data.draw(q_polynomials())
+    for k in data.draw(st.lists(st.sampled_from(DIVISOR_KS), max_size=4)):
+        num = num * one_minus(mono_var("q", k))
+    ks = sorted(data.draw(st.lists(st.sampled_from(DIVISOR_KS), max_size=6)))
+    assert (dense_to_rf(dense_normalize(q_coeffs(num), ks))
+            == RationalFunction(num, q_den(ks)))
+    assert (dense_to_rf(dense_normalize(q_coeffs(num), (2, 4, 4, 6, 12)))
+            == RationalFunction(num, q_den((2, 4, 4, 6, 12))))
+
+
+def test_dense_normalize_skips_multiples_of_failed_factors(monkeypatch):
+    tried = []
+    div = algebra.dense_div_one_minus
+    monkeypatch.setattr(algebra, "dense_div_one_minus",
+                        lambda a, k: tried.append(k) or div(a, k))
+    # (1 - q^2) does not divide (1 - q)(1 - q^3), so neither can (1 - q^4)
+    # nor (1 - q^6); (1 - q^3) does
+    num = q_coeffs(P("1 - q") * P("1 - q^3"))
+    assert dense_normalize(num, (2, 3, 4, 6)) == ([1, -1], (2, 4, 6))
+    assert tried == [2, 3]
 
 
 @settings(max_examples=150)

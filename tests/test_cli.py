@@ -130,6 +130,15 @@ def test_verify_against_corrupted_formula(capsys, tmp_path):
     assert out.startswith("FAIL") and "mismatch" in out
 
 
+def test_negative_bound_exit_code(capsys):
+    code, out, err = run(capsys, "verify", "--family", "zigzag", "--n", "3",
+                         "--bound", "-1")
+    assert code == 2 and out == "" and "negative" in err
+    code, out, err = run(capsys, "qgfun", "--family", "diamond",
+                         "--series", "-1")
+    assert code == 2 and out == "" and "negative" in err
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "gfun", str(tmp_path / "missing.poset"))
     assert code == 2 and "error" in err

@@ -1,10 +1,11 @@
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppgf.algebra import (Polynomial, mono, mono_var, parse_polynomial,
                           parse_rational)
-from ppgf.families import antichain, chain, diamond
+from ppgf.families import antichain, chain, diamond, zigzag
 from ppgf.oracle import enumerate_ppartitions, truncated_gf, verify
 
 from strategies import posets
@@ -71,6 +72,19 @@ def test_truncated_gf_diamond_q():
     p = truncated_gf(diamond(), 2)
     gf = p.substitute({v: mono_var("q") for v in p.variables()})
     assert gf == parse_polynomial("1 + q + 3*q^2")
+
+
+def test_negative_bound_raises():
+    # a negative bound is bad input, not an empty truncation
+    p = zigzag(3)
+    with pytest.raises(ValueError):
+        enumerate_ppartitions(p, -1)
+    with pytest.raises(ValueError):
+        truncated_gf(p, -1)
+    with pytest.raises(ValueError):
+        parse_rational("1/(1-q)").series(-1)
+    assert truncated_gf(p, 0) == parse_polynomial("1")
+    assert list(enumerate_ppartitions(p, 0)) == [{e: 0 for e in p.elements}]
 
 
 def test_verify_diamond_closed_form():

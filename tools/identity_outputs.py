@@ -33,8 +33,8 @@ from workloads import CORPUS_SEED, corpus  # noqa: E402
 
 STRATEGIES = (engine.default_strategy, engine.reversed_strategy,
               engine.ple_first_strategy)
-EVAL = {"multicube": range(1, 5), "zigzag": range(1, 9),
-        "three_rowed": range(1, 5), "two_rowed_dd": range(2, 9)}
+EVAL = {"multicube": range(1, 8), "zigzag": range(1, 13),
+        "three_rowed": range(1, 7), "two_rowed_dd": range(2, 13)}
 MULTIVARIATE = {"zigzag": range(1, 5), "three_rowed": range(1, 3)}
 
 
