@@ -26,6 +26,7 @@ the recurrence's q-iteration runs on it.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import random
 import re
@@ -108,6 +109,36 @@ def _varkey(name):
 
 def _mono_sortkey(a):
     return (mono_deg(a), tuple((_varkey(v), e) for v, e in sorted(a, key=lambda p: _varkey(p[0]))))
+
+
+_ROOT = {}
+
+
+def _root(m):
+    """The primitive monomial r with m = r^g, g the gcd of m's exponents."""
+    r = _ROOT.get(m)
+    if r is None:
+        g = math.gcd(*(e for _, e in m))
+        r = _ROOT[m] = m if g == 1 else tuple((v, e // g) for v, e in m)
+    return r
+
+
+def keeps_normal_form(sub, variables):
+    """Whether substituting sub into any normal form in the given
+    variables gives a normal form, with no factor left to cancel.
+
+    True when every image (an unmapped variable is its own image) has a
+    variable of exponent 1 that no other image contains.  Sending that
+    variable back to its source and every other variable to 1 undoes the
+    substitution, so a factor that divided the image would divide the
+    original.  A renaming onto distinct variables is the simplest case.
+    """
+    images = [sub.get(v, ((v, 1),)) for v in variables]
+    seen = {}
+    for img in images:
+        for w, _ in img:
+            seen[w] = seen.get(w, 0) + 1
+    return all(any(e == 1 and seen[w] == 1 for w, e in img) for img in images)
 
 
 def mono_str(a):
@@ -445,7 +476,9 @@ class RationalFunction:
     Normal form: zero numerator has an empty denominator, and no remaining
     denominator factor divides the numerator exactly.  Integer content of
     the numerator is preserved as-is.  Structural equality (==) compares
-    normal forms; use rf_eq for equality as functions.
+    normal forms; use rf_eq for equality as functions.  normalize=False
+    may only wrap a normal form: the arithmetic below trusts its operands
+    to be normal and tries only the factors that can still cancel.
     """
 
     __slots__ = ("num", "den")
@@ -462,33 +495,38 @@ class RationalFunction:
         if normalize:
             self._normalize()
 
-    def _normalize(self):
+    def _normalize(self, skip=()):
         """Cancel denominator factors against the numerator in one pass.
 
         Each factor is tried once, in order.  A factor that fails never
         needs a retry: if (1 - m) does not divide N, it does not divide
-        N / (1 - m') either.  Once the numerator's coefficient sum is
-        nonzero no factor can divide it, since every multiple of (1 - m)
-        vanishes where all variables are 1, so the pass stops.  Most
-        factors of the deletion identity are one-variable (1 - x_b), and
-        exact_div settles those by residue-class sums without a
-        polynomial division.
+        N / (1 - m') either, so the copies of a failed factor, side by
+        side in the sorted denominator, are not tried, and neither is a
+        factor in skip, which the caller knows to fail.  Once the
+        numerator's coefficient sum is nonzero no factor can divide it,
+        since every multiple of (1 - m) vanishes where all variables are
+        1, so the pass stops.  Most factors of the deletion identity are
+        one-variable (1 - x_b), and exact_div settles those by
+        residue-class sums without a polynomial division.
         """
         if self.num.is_zero():
             self.den = ()
             return
         num = self.num
-        den = list(self.den)
-        i = 0
-        while i < len(den) and not sum(num.terms.values()):
-            q = exact_div(num, den[i])
-            if q is None:
-                i += 1
-            else:
-                num = q
-                del den[i]
+        kept = []
+        failed = None
+        divisible = not sum(num.terms.values())
+        for m in self.den:
+            if divisible and m != failed and m not in skip:
+                q = exact_div(num, m)
+                if q is not None:
+                    num = q
+                    divisible = not sum(num.terms.values())
+                    continue
+                failed = m
+            kept.append(m)
         self.num = num
-        self.den = tuple(den)
+        self.den = tuple(kept)
 
     @classmethod
     def zero(cls):
@@ -517,21 +555,32 @@ class RationalFunction:
         return rf_sum([self, -other])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Polynomial)):
+        if isinstance(other, int) or (isinstance(other, Polynomial)
+                                      and len(other.terms) == 1):
+            # 1 - m has content 1 and no monomial factor, so by Gauss's
+            # lemma it divides c * x^a * N only if it divides N
+            num = self.num * other
+            return RationalFunction(num, self.den if num else (),
+                                    normalize=False)
+        if isinstance(other, Polynomial):
             return RationalFunction(self.num * other, self.den)
         return RationalFunction(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
 
     def over(self, m):
-        """Divide by (1 - m)."""
-        return RationalFunction(self.num, self.den + (m,))
+        """Divide by (1 - m).  No factor of a normal form divides its
+        numerator, nor the numerator over (1 - m), so only (1 - m) is
+        tried."""
+        f = RationalFunction(self.num, self.den + (m,), normalize=False)
+        f._normalize(skip=frozenset(self.den))
+        return f
 
     def substitute(self, sub, normalize=True):
         """Simultaneous multiplicative substitution of variables by monomials.
 
-        normalize=False is for a renaming of variables onto distinct
-        names: a ring isomorphism, which maps a normal form to one.
+        normalize=False is for a normal form under a substitution for
+        which keeps_normal_form holds: the result is then a normal form.
         """
         num = self.num.substitute(sub)
         den = []
@@ -627,20 +676,28 @@ def _trunc_mul(a, b, bound):
 
 
 def rf_sum(terms):
-    """Sum of rational functions over the least common factored denominator."""
+    """Sum of rational functions over the least common factored denominator.
+
+    Its normalization does not try the factors _settled rules out.
+    """
     terms = list(terms)
     if not terms:
         return RationalFunction.zero()
     if len(terms) == 1:
         return terms[0]
     common = {}
-    for f in terms:
+    owner = {}  # factor -> the one part at its top multiplicity, or None
+    for i, f in enumerate(terms):
         seen = {}
         for m in f.den:
             seen[m] = seen.get(m, 0) + 1
         for m, k in seen.items():
-            if common.get(m, 0) < k:
+            top = common.get(m, 0)
+            if top < k:
                 common[m] = k
+                owner[m] = i
+            elif top == k:
+                owner[m] = None
     num = Polynomial.zero()
     for f in terms:
         part = f.num
@@ -654,7 +711,35 @@ def rf_sum(terms):
     den = []
     for m, k in common.items():
         den.extend([m] * k)
-    return RationalFunction(num, den)
+    f = RationalFunction(num, den, normalize=False)
+    f._normalize(_settled(terms, owner)
+                 if num and not sum(num.terms.values()) else ())
+    return f
+
+
+def _settled(terms, owner):
+    """The factors of a sum's common denominator that cannot divide its
+    lifted numerator; owner maps each factor to the one part holding it
+    at the top multiplicity, or to None on a tie.
+
+    Take a factor m with an owner, where no other factor shares m's
+    primitive root r.  Every other part is lifted by (1 - m); the owner
+    only by factors with other roots, each coprime to (1 - m), since with
+    m = r^g, 1 - m is the product of the Phi_d(r) over d dividing g, each
+    of them irreducible.  So (1 - m) divides the lifted sum iff it
+    divides the owner's numerator, whether the parts are normal or not.
+    """
+    roots = {}
+    for m in owner:
+        r = _root(m)
+        roots[r] = roots.get(r, 0) + 1
+    out = set()
+    for m, i in owner.items():
+        if i is not None and roots[_root(m)] == 1:
+            num = terms[i].num
+            if sum(num.terms.values()) or exact_div(num, m) is None:
+                out.add(m)
+    return out
 
 
 def rf_eq(a, b):

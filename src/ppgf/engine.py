@@ -27,19 +27,24 @@ recursion recur(child, child_binding); gfun and gfun_at are that
 recursion under two memo policies, and the recurrence module's prefix
 elimination walks the same right-hand sides with a coefficient.  gfun
 keys on cover structure, so branches that build one structure under
-different bindings share the work; gfun_at keys on structure plus
-monomials and keeps every value in the target variables, which is
-exponentially smaller when elements share a variable (gfun_q's all-q
-input).  Each is the faster one somewhere: on the first 100 posets of the
-acceptance corpus under all three strategies, keying on the values at
-distinct variables took 4.3-4.6 s against 2.9-3.5 s keyed on structure
-(2-core Xeon), while structure keys would build the full multivariate
-value of every subposet of an all-q input.
+different bindings share the work.  Its stored value is substituted with
+no renormalization whenever the binding keeps the normal form, as every
+binding reached from distinct variables does: deletion and gluing only
+merge monomials, so each source variable stays in exactly one of them.
+gfun_at keys on structure plus monomials and keeps every value in the
+target variables, which is exponentially smaller when elements share a
+variable (gfun_q's all-q input).  Each is the faster one somewhere: on
+the first 100 posets of the acceptance corpus under all three
+strategies, keying on the values at distinct variables took 4.3-4.6 s
+against 2.9-3.5 s keyed on structure (2-core Xeon), while structure keys
+would build the full multivariate value of every subposet of an all-q
+input.
 """
 
 from __future__ import annotations
 
-from .algebra import RationalFunction, Polynomial, mono_var, mono_mul, rf_sum
+from .algebra import (RationalFunction, Polynomial, keeps_normal_form,
+                      mono_var, mono_mul, rf_sum)
 
 
 class NotRemovable(ValueError):
@@ -178,9 +183,10 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
     The memo stores, per cover structure, the value in positional
     variables v0, v1, ...; the caller's monomials are substituted into it
     on return.  This is sound because every identity used is a
-    multiplicative substitution.  Onto distinct plain variables the
-    substitution is a renaming, which maps a normal form to one; under any
-    other binding the result is renormalized.
+    multiplicative substitution.  When each monomial has a variable of
+    exponent 1 that no other monomial contains (algebra.keeps_normal_form),
+    the substitution maps a normal form to one; under any other binding
+    the result is renormalized.
     """
     if monos is None:
         monos = default_binding(p)
@@ -191,11 +197,9 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
     def go(q, qmonos):
         if not q.elements:
             return RationalFunction.one()
-        vals = [qmonos[e] for e in q.elements]
-        renaming = (len(set(vals)) == len(vals)
-                    and all(len(m) == 1 and m[0][1] == 1 for m in vals))
+        sub = {"v%d" % i: qmonos[e] for i, e in enumerate(q.elements)}
         return template(q).substitute(
-            {"v%d" % i: m for i, m in enumerate(vals)}, normalize=not renaming)
+            sub, normalize=not keeps_normal_form(sub, sub))
 
     def template(q):
         key = _shape(q)

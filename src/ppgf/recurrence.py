@@ -27,8 +27,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import (Q, Polynomial, RationalFunction, dense_eval,
-                      dense_product, dense_sum, dense_to_rf, mono_var,
-                      mono_mul, mono_subst, mono_str, rf_sum)
+                      dense_product, dense_sum, dense_to_rf,
+                      keeps_normal_form, mono_var, mono_mul, mono_subst,
+                      mono_str, rf_sum)
 from .poset import Poset, rplus, rplus_offset
 from . import engine, families
 from .families import BlockDecomposition
@@ -177,6 +178,13 @@ def _leaf(poset, reals, monos, coef, prefix):
     return coef, state, chain_args, tuple(sorted(mults))
 
 
+def _substitute(f, sub):
+    """f, a normal form, under sub; renormalized only where the
+    substitution may not keep the normal form."""
+    keeps = keeps_normal_form(sub, f.variables())
+    return f.substitute(sub, normalize=not keeps)
+
+
 class RecurrenceSystem:
     """States, transitions and the entry decomposition for one family."""
 
@@ -246,7 +254,8 @@ class RecurrenceSystem:
             ren = {"p%d" % e: mono_var("p1_%d" % e)
                    for e in self.block.elements}
             levels[1] = {
-                s: self.base_value(s, tail, tail_rel, q_only=False).substitute(ren)
+                s: _substitute(
+                    self.base_value(s, tail, tail_rel, q_only=False), ren)
                 for s in self.transitions}
         m = max(levels)
         while m < upto:
@@ -274,8 +283,8 @@ class RecurrenceSystem:
             for j in range(2, m):
                 for e in self.block.elements:
                     sub["p%d_%d" % (j, e)] = mono_var("p%d_%d" % (j + 1, e))
-            f = prev[t.target].substitute(sub)
-            parts.append(t.coef.substitute(ren) * f)
+            f = _substitute(prev[t.target], sub)
+            parts.append(_substitute(t.coef, ren) * f)
         return rf_sum(parts)
 
     def _eval_q(self, n, tail, tail_rel):
@@ -349,7 +358,7 @@ class RecurrenceSystem:
                 final["p%d_%d" % (spec[1], spec[2])] = mono_var("x%d" % wid)
             else:
                 final["b%d" % spec[1]] = mono_var("x%d" % wid)
-        return f.substitute(final)
+        return _substitute(f, final)
 
     # -- rendering ------------------------------------------------------
 

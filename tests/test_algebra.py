@@ -6,8 +6,9 @@ from ppgf.algebra import (DenominatorCollapse, ParseError, Polynomial,
                           RationalFunction, dense_div_one_minus, dense_eval,
                           dense_mul, dense_mul_one_minus, dense_normalize,
                           dense_product, dense_sum, dense_to_rf, exact_div,
-                          mono, mono_deg, mono_var, one_minus,
-                          parse_polynomial, parse_rational, rf_eq, rf_sum)
+                          keeps_normal_form, mono, mono_deg, mono_var,
+                          one_minus, parse_polynomial, parse_rational, rf_eq,
+                          rf_sum)
 
 P = parse_polynomial
 R = parse_rational
@@ -346,6 +347,183 @@ def test_normalize_idempotent():
 def test_zero_has_empty_denominator():
     f = RationalFunction(Polynomial.zero(), (mono_var("x1"),))
     assert f.is_zero() and f.den == ()
+
+
+def recording_exact_div(monkeypatch):
+    """Patch exact_div to record the factor of every attempt."""
+    tried = []
+    div = algebra.exact_div
+    monkeypatch.setattr(algebra, "exact_div",
+                        lambda p, m: tried.append(m) or div(p, m))
+    return tried
+
+
+def test_normalize_skips_copies_of_a_failed_factor(monkeypatch):
+    tried = recording_exact_div(monkeypatch)
+    x1, x2 = mono_var("x1"), mono_var("x2")
+    f = RationalFunction(P("(1 - x2)*(x1 - x2)"), (x1, x1, x1, x2, x2))
+    assert f.num == P("x1 - x2") and f.den == (x1, x1, x1, x2)
+    assert tried == [x1, x2, x2]
+
+
+def test_over_tries_only_the_new_factor(monkeypatch):
+    f = R("(1 - x1*x2)/((1-x1)(1-x2))")
+    tried = recording_exact_div(monkeypatch)
+    assert f.over(mono({"x1": 1, "x2": 1})) == R("1/((1-x1)(1-x2))")
+    assert tried == [mono({"x1": 1, "x2": 1})]
+
+
+def test_over_zero_keeps_empty_denominator():
+    f = RationalFunction.zero().over(mono_var("x1"))
+    assert f.is_zero() and f.den == ()
+    with pytest.raises(DenominatorCollapse):
+        RationalFunction.zero().over(())
+    with pytest.raises(DenominatorCollapse):
+        RationalFunction.one().over(())
+
+
+def test_scale_by_zero_is_the_zero_normal_form():
+    f = R("1/((1-x1)(1-x2))")
+    for zero in (f * 0, 0 * f, f * Polynomial.zero()):
+        assert zero.is_zero() and zero.den == ()
+
+
+def test_rf_sum_skips_factors_its_owner_rules_out(monkeypatch):
+    # each factor has one owner, whose numerator 1 it does not divide
+    a, b = R("1/(1-x1)"), R("1/(1-x2)")
+    tried = recording_exact_div(monkeypatch)
+    total = a + b
+    assert tried == []
+    assert total == R("(2 - x1 - x2)/((1-x1)(1-x2))")
+
+
+def test_rf_sum_tries_a_factor_that_shares_a_root():
+    # (1 + x1)/(1 - x1^2) is a normal form: the owner's numerator is not
+    # divisible by (1 - x1^2), but the sum is, through (1 - x1)
+    a = RationalFunction(P("1 + x1"), (mono_var("x1", 2),))
+    b = R("(-x1)/(1-x1)")
+    assert a.den == (mono_var("x1", 2),)
+    assert a + b == RationalFunction.one()
+
+
+def test_keeps_normal_form():
+    x = {v: mono_var(v) for v in ("x1", "x2", "y1", "y2")}
+    assert keeps_normal_form({"x1": x["y1"], "x2": x["y2"]}, ["x1", "x2"])
+    assert keeps_normal_form({"x1": x["x2"]}, ["x1"])
+    # a shared variable is fine beside a private one of exponent 1
+    assert keeps_normal_form({"x1": mono({"y1": 1, "y2": 2}),
+                              "x2": mono({"x2": 1, "y2": 1})}, ["x1", "x2"])
+    # x2 stays itself, so x1 -> x1*x2 leaves x1's image its own x1 but
+    # x2's image nothing of its own
+    assert not keeps_normal_form({"x1": mono({"x1": 1, "x2": 1})},
+                                 ["x1", "x2"])
+    assert not keeps_normal_form({"x1": mono_var("y1", 2)}, ["x1"])
+    assert not keeps_normal_form({"x1": x["y1"], "x2": x["y1"]}, ["x1", "x2"])
+
+
+# denominator factors with shared primitive roots (x1, x1^2, x1^3 and
+# x1*x2, x1^2*x2^2), non-primitive factors alone among their root, and
+# numerator factors that are cyclotomic parts of them
+FACTORS = tuple(mono(d) for d in (
+    {"x1": 1}, {"x1": 2}, {"x1": 3}, {"x2": 2}, {"x1": 1, "x2": 1},
+    {"x1": 2, "x2": 2}, {"x2": 1, "x3": 2}, {"x3": 2}))
+CYCLOTOMIC = ("1 + x1", "1 + x1 + x1^2", "1 + x2", "1 + x1*x2", "1 + x3")
+
+
+@st.composite
+def factored(draw, den=None):
+    """(numerator, denominator factors), the numerator a multiple of a
+    few (1 - m) of FACTORS and of cyclotomic parts of them, so that
+    factors divide it, some of them only in part."""
+    num = draw(polynomials())
+    for m in draw(st.lists(st.sampled_from(FACTORS), max_size=3)):
+        num = num * one_minus(m)
+    for c in draw(st.lists(st.sampled_from(CYCLOTOMIC), max_size=2)):
+        num = num * P(c)
+    if den is None:
+        den = draw(st.lists(st.sampled_from(FACTORS), max_size=4))
+    return num, den
+
+
+def lifted(num, den, common):
+    """num times the factors that den lacks of the multiset common."""
+    for m in set(common):
+        for _ in range(common.count(m) - den.count(m)):
+            num = num * one_minus(m)
+    return num
+
+
+def least_common(dens):
+    return sorted(m for m in set().union(*dens)
+                  for _ in range(max(den.count(m) for den in dens)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rf_sum_matches_full_normalization(data):
+    # the parts share a few denominators, so that factors tie at the top
+    # multiplicity; a last part may bring the lifted sum to a multiple of
+    # some factors, as the identities' sums are; some parts are left
+    # unnormalized
+    dens = data.draw(st.lists(st.lists(st.sampled_from(FACTORS), max_size=4),
+                              min_size=1, max_size=3))
+    drawn = [data.draw(factored(den=data.draw(st.sampled_from(dens))))
+             for _ in range(data.draw(st.integers(min_value=1, max_value=3)))]
+    common = least_common([den for _, den in drawn])
+    if data.draw(st.booleans()):
+        target, _ = data.draw(factored(den=()))
+        rest = sum((lifted(num, den, common) for num, den in drawn),
+                   Polynomial.zero())
+        drawn.append((target - rest, common))
+    else:
+        drawn.append(data.draw(factored(den=data.draw(st.sampled_from(dens)))))
+    parts = [RationalFunction(num, den, normalize=data.draw(st.booleans()))
+             for num, den in drawn]
+    common = least_common([f.den for f in parts])
+    total = sum((lifted(f.num, f.den, common) for f in parts),
+                Polynomial.zero())
+    assert rf_sum(parts) == RationalFunction(total, common)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored(), st.sampled_from(FACTORS))
+def test_over_matches_full_normalization(drawn, m):
+    f = RationalFunction(*drawn)
+    assert f.over(m) == RationalFunction(f.num, f.den + (m,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scaling_matches_full_normalization(data):
+    f = RationalFunction(*data.draw(factored()))
+    c = data.draw(st.integers(min_value=-3, max_value=3))
+    term = Polynomial.term(data.draw(monomials()), c)
+    assert f * term == RationalFunction(f.num * term, f.den)
+    assert f * c == c * f == RationalFunction(f.num * c, f.den)
+
+
+@st.composite
+def private_substitutions(draw):
+    """Each mapped variable, x1 always, goes to a variable of its own times
+    a monomial in shared variables; the unmapped ones stay themselves."""
+    sub = {}
+    for i, v in enumerate(VARS):
+        if v == "x1" or draw(st.booleans()):
+            shared = draw(st.dictionaries(
+                st.sampled_from(("z1", "z2")),
+                st.integers(min_value=1, max_value=3), max_size=2))
+            sub[v] = mono({"y%d" % i: 1, **shared})
+    return sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_substitutions_that_keep_the_normal_form_need_no_division(data):
+    den = data.draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4))
+    f = RationalFunction(*data.draw(factored(den=den)))
+    sub = data.draw(st.one_of(private_substitutions(), substitutions()))
+    if keeps_normal_form(sub, f.variables()):
+        assert f.substitute(sub, normalize=False) == f.substitute(sub)
 
 
 @settings(max_examples=60)
