@@ -179,10 +179,6 @@ class Polynomial:
     def term(cls, m, c=1):
         return cls({m: c})
 
-    @classmethod
-    def variable(cls, name):
-        return cls({mono_var(name): 1})
-
     def is_zero(self):
         return not self.terms
 
@@ -262,9 +258,6 @@ class Polynomial:
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         return max((mono_deg(m) for m in self.terms), default=-1)
-
-    def coefficient(self, m):
-        return self.terms.get(m, 0)
 
     def variables(self):
         vs = set()
@@ -576,11 +569,11 @@ class RationalFunction:
         f._normalize(skip=frozenset(self.den))
         return f
 
-    def substitute(self, sub, normalize=True):
+    def substitute(self, sub):
         """Simultaneous multiplicative substitution of variables by monomials.
 
-        normalize=False is for a normal form under a substitution for
-        which keeps_normal_form holds: the result is then a normal form.
+        The result is renormalized unless keeps_normal_form(sub, variables)
+        holds, in which case it is already a normal form.
         """
         num = self.num.substitute(sub)
         den = []
@@ -589,13 +582,8 @@ class RationalFunction:
             if not m2:
                 raise DenominatorCollapse("factor (1 - %s) collapsed" % mono_str(m))
             den.append(m2)
-        return RationalFunction(num, den, normalize)
-
-    def specialize_q(self, keep=()):
-        """Send every variable outside keep (and not q itself) to q."""
-        keep = set(keep) | {Q}
-        sub = {v: mono_var(Q) for v in self.variables() - keep}
-        return self.substitute(sub) if sub else self
+        return RationalFunction(
+            num, den, not keeps_normal_form(sub, self.variables()))
 
     def series(self, bound):
         """Taylor expansion at 0 truncated to total degree <= bound.
@@ -857,20 +845,20 @@ def dense_normalize(num, den):
 def dense_eval(f, exps):
     """f at the point where each variable v is q^exps[v], normalized.
 
-    Every variable of f, q included, needs an entry in exps, and every
+    A variable with no entry in exps is q itself (exponent 1).  Every
     exponent of the result must be non-negative.
     """
     num = {}
     for m, c in f.num.terms.items():
         d = 0
         for v, e in m:
-            d += e * exps[v]
+            d += e * exps.get(v, 1)
         num[d] = num.get(d, 0) + c
     den = []
     for m in f.den:
         k = 0
         for v, e in m:
-            k += e * exps[v]
+            k += e * exps.get(v, 1)
         if not k:
             raise DenominatorCollapse("factor (1 - %s) collapsed" % mono_str(m))
         den.append(k)

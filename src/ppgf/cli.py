@@ -7,7 +7,7 @@
     ppgf verify     compare a formula against brute-force enumeration
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 bad input.
+2 bad input or an input too deep for the recursion.
 """
 
 from __future__ import annotations
@@ -225,6 +225,9 @@ def main(argv=None):
         return args.func(args)
     except (PosetError, ParseError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too deep for the recursion", file=sys.stderr)
         return 2
 
 

@@ -27,10 +27,11 @@ recursion recur(child, child_binding); gfun and gfun_at are that
 recursion under two memo policies, and the recurrence module's prefix
 elimination walks the same right-hand sides with a coefficient.  gfun
 keys on cover structure, so branches that build one structure under
-different bindings share the work.  Its stored value is substituted with
-no renormalization whenever the binding keeps the normal form, as every
-binding reached from distinct variables does: deletion and gluing only
-merge monomials, so each source variable stays in exactly one of them.
+different bindings share the work.  Its stored value is substituted into
+by RationalFunction.substitute, which renormalizes only where the binding
+may not keep the normal form; every binding reached from distinct
+variables keeps it, since deletion and gluing only merge monomials, so
+each source variable stays in exactly one of them.
 gfun_at keys on structure plus monomials and keeps every value in the
 target variables, which is exponentially smaller when elements share a
 variable (gfun_q's all-q input).  Each is the faster one somewhere: on
@@ -43,8 +44,7 @@ input.
 
 from __future__ import annotations
 
-from .algebra import (RationalFunction, Polynomial, keeps_normal_form,
-                      mono_var, mono_mul, rf_sum)
+from .algebra import RationalFunction, Polynomial, mono_var, mono_mul, rf_sum
 
 
 class NotRemovable(ValueError):
@@ -183,10 +183,8 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
     The memo stores, per cover structure, the value in positional
     variables v0, v1, ...; the caller's monomials are substituted into it
     on return.  This is sound because every identity used is a
-    multiplicative substitution.  When each monomial has a variable of
-    exponent 1 that no other monomial contains (algebra.keeps_normal_form),
-    the substitution maps a normal form to one; under any other binding
-    the result is renormalized.
+    multiplicative substitution.  RationalFunction.substitute decides
+    whether the result needs renormalizing (algebra.keeps_normal_form).
     """
     if monos is None:
         monos = default_binding(p)
@@ -198,8 +196,7 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
         if not q.elements:
             return RationalFunction.one()
         sub = {"v%d" % i: qmonos[e] for i, e in enumerate(q.elements)}
-        return template(q).substitute(
-            sub, normalize=not keeps_normal_form(sub, sub))
+        return template(q).substitute(sub)
 
     def template(q):
         key = _shape(q)

@@ -19,17 +19,21 @@ engine.gluing_rhs): each term of one continues the branch on its child
 poset and binding, with the coefficient times sign * multiplier / (1 - m).
 Placeholders are never deleted or glued; only their monomials absorb
 multipliers, which become the argument substitutions of the recurrence.
+
+Coefficients and base values (f at n = 1, one per state) name the first
+block copy p<e>.  The multivariate iteration keeps that name for copy 1
+at every level and names copy j >= 2 p<j>_<e>, so neither is ever
+renamed; the q-iteration evaluates the same values densely, reading each
+variable it does not bind as q.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import (Q, Polynomial, RationalFunction, dense_eval,
-                      dense_product, dense_sum, dense_to_rf,
-                      keeps_normal_form, mono_var, mono_mul, mono_subst,
-                      mono_str, rf_sum)
+                      dense_product, dense_sum, dense_to_rf, mono_var,
+                      mono_mul, mono_str, rf_sum)
 from .poset import Poset, rplus, rplus_offset
 from . import engine, families
 from .families import BlockDecomposition
@@ -178,13 +182,6 @@ def _leaf(poset, reals, monos, coef, prefix):
     return coef, state, chain_args, tuple(sorted(mults))
 
 
-def _substitute(f, sub):
-    """f, a normal form, under sub; renormalized only where the
-    substitution may not keep the normal form."""
-    keeps = keeps_normal_form(sub, f.variables())
-    return f.substitute(sub, normalize=not keeps)
-
-
 class RecurrenceSystem:
     """States, transitions and the entry decomposition for one family."""
 
@@ -226,11 +223,13 @@ class RecurrenceSystem:
                 idmap[("tail", e)] = e + offt
         return out, idmap
 
-    def base_value(self, state, tail=None, tail_rel=(), q_only=True):
+    def base_value(self, state, tail=None, tail_rel=()):
         """f at n = 1 for a state: the engine's value on chain (+) block
-        (+) tail, chain variables c1.., block variables p<e>, and for the
-        q-specialized form every tail variable set to q."""
-        key = (state, tail, frozenset(tail_rel), q_only)
+        (+) tail in chain variables c<i>, block variables p<e> (the names
+        of copy 1 at every level) and tail variables b<e>.  The one value
+        serves both iterations; the q-iteration reads every variable it
+        does not bind, the tail's, as q."""
+        key = (state, tail, frozenset(tail_rel))
         hit = self._base_cache.get(key)
         if hit is not None:
             return hit
@@ -239,24 +238,20 @@ class RecurrenceSystem:
         names = {wid: "%s%d" % (letter[spec[0]], spec[-1])
                  for spec, wid in idmap.items()}
         f = engine.gfun(poset, {e: mono_var(v) for e, v in names.items()})
-        if q_only:
-            f = f.specialize_q(v for v in names.values() if v[0] != "b")
         self._base_cache[key] = f
         return f
 
     # -- iteration ------------------------------------------------------
 
     def _levels(self, upto, tail, tail_rel):
-        """Multivariate bottom-up iteration, copies named p<j>_<e>."""
+        """Multivariate bottom-up iteration.  At level m, copy 1 of the
+        block keeps the base values' names p<e> and copy j >= 2 is named
+        p<j>_<e>."""
         key = (tail, frozenset(tail_rel))
         levels = self._level_cache.setdefault(key, {})
         if 1 not in levels:
-            ren = {"p%d" % e: mono_var("p1_%d" % e)
-                   for e in self.block.elements}
-            levels[1] = {
-                s: _substitute(
-                    self.base_value(s, tail, tail_rel, q_only=False), ren)
-                for s in self.transitions}
+            levels[1] = {s: self.base_value(s, tail, tail_rel)
+                         for s in self.transitions}
         m = max(levels)
         while m < upto:
             prev = levels[m]
@@ -269,22 +264,17 @@ class RecurrenceSystem:
 
     def _apply_terms(self, terms, prev, m):
         """Sum of coef * F_target[m-1] under each term's substitution; the
-        result uses copies 1..m."""
-        ren = {"p%d" % e: mono_var("p1_%d" % e) for e in self.block.elements}
+        result uses copies 1..m, the previous level's copy j becoming
+        copy j + 1."""
         parts = []
         for t in terms:
-            sub = {}
-            for i, arg in enumerate(t.chain_args, start=1):
-                sub["c%d" % i] = mono_subst(arg, ren)
-            mults = dict(t.copy_mults)
+            sub = {"c%d" % i: arg
+                   for i, arg in enumerate(t.chain_args, start=1)}
             for e in self.block.elements:
-                sub["p1_%d" % e] = mono_mul(mono_subst(mults.get(e, ()), ren),
-                                            mono_var("p2_%d" % e))
-            for j in range(2, m):
-                for e in self.block.elements:
+                sub["p%d" % e] = mono_mul(t.mult(e), mono_var("p2_%d" % e))
+                for j in range(2, m):
                     sub["p%d_%d" % (j, e)] = mono_var("p%d_%d" % (j + 1, e))
-            f = _substitute(prev[t.target], sub)
-            parts.append(_substitute(t.coef, ren) * f)
+            parts.append(t.coef * prev[t.target].substitute(sub))
         return rf_sum(parts)
 
     def _eval_q(self, n, tail, tail_rel):
@@ -295,18 +285,27 @@ class RecurrenceSystem:
         every value is univariate; memoizing on (state, level, argument
         exponents) keeps the call tree polynomial.  Every value, the entry
         terms' included, is dense (see algebra.dense_eval) until the result
-        is returned as a RationalFunction.
+        is returned as a RationalFunction.  exps maps each bound variable
+        to its exponent of q; an unbound variable (every entry variable,
+        every tail variable) is q itself, as in algebra.dense_eval.
         """
         memo = self._level_cache.setdefault(("q", tail, frozenset(tail_rel)), {})
         block_elts = tuple(sorted(self.block.elements))
 
         def arg_exponents(t, exps):
-            cexps = tuple(sum(exps[v] * e for v, e in arg)
+            cexps = tuple(sum(exps.get(v, 1) * e for v, e in arg)
                           for arg in t.chain_args)
-            mults = dict(t.copy_mults)
-            pexps = tuple(1 + sum(exps[v] * e for v, e in mults.get(b, ()))
+            pexps = tuple(1 + sum(exps.get(v, 1) * e for v, e in t.mult(b))
                           for b in block_elts)
             return cexps, pexps
+
+        def terms_sum(terms, m, exps):
+            """Sum of coef * F_target[m] over the terms, at exps; a list,
+            not a generator, so that a level costs no extra stack frame."""
+            return dense_sum([
+                dense_product(dense_eval(t.coef, exps),
+                              eval_state(t.target, m, *arg_exponents(t, exps)))
+                for t in terms])
 
         def eval_state(s, m, cexps, pexps):
             key = (s, m, cexps, pexps)
@@ -315,24 +314,14 @@ class RecurrenceSystem:
                 return hit
             exps = {"c%d" % i: k for i, k in enumerate(cexps, start=1)}
             exps.update(("p%d" % b, k) for b, k in zip(block_elts, pexps))
-            exps[Q] = 1
             if m == 1:
-                f = dense_eval(self.base_value(s, tail, tail_rel, q_only=True),
-                               exps)
+                f = dense_eval(self.base_value(s, tail, tail_rel), exps)
             else:
-                f = dense_sum(
-                    dense_product(dense_eval(t.coef, exps),
-                                  eval_state(t.target, m - 1,
-                                             *arg_exponents(t, exps)))
-                    for t in self.transitions[s].terms)
+                f = terms_sum(self.transitions[s].terms, m - 1, exps)
             memo[key] = f
             return f
 
-        ones = defaultdict(lambda: 1)  # every entry variable is q
-        return dense_to_rf(dense_sum(
-            dense_product(dense_eval(t.coef, ones),
-                          eval_state(t.target, n - 1, *arg_exponents(t, ones)))
-            for t in self.entry))
+        return dense_to_rf(terms_sum(self.entry, n - 1, {}))
 
     def evaluate(self, n, tail=None, tail_rel=(), q_only=True):
         """f_{X_n}; q-specialized by default, multivariate in the element
@@ -353,12 +342,13 @@ class RecurrenceSystem:
         final = {}
         for spec, wid in idmap.items():
             if spec[0] == "seed":
-                final["a%d" % spec[1]] = mono_var("x%d" % wid)
+                name = "a%d" % spec[1]
             elif spec[0] == "copy":
-                final["p%d_%d" % (spec[1], spec[2])] = mono_var("x%d" % wid)
+                name = "p%d" % spec[2] if spec[1] == 1 else "p%d_%d" % spec[1:]
             else:
-                final["b%d" % spec[1]] = mono_var("x%d" % wid)
-        return _substitute(f, final)
+                name = "b%d" % spec[1]
+            final[name] = mono_var("x%d" % wid)
+        return f.substitute(final)
 
     # -- rendering ------------------------------------------------------
 
@@ -372,7 +362,7 @@ class RecurrenceSystem:
             args.append(mono_str(mono_mul(mults.get(e, ()), mono_var(Q))))
         return "(%s) * %s[n-1](%s)" % (t.coef, names[t.target], ", ".join(args))
 
-    def emit_text(self, tail=None, tail_rel=(), include_base=True):
+    def emit_text(self, tail=None, tail_rel=()):
         """Human-readable listing of the system, entry first, with the
         next-copy arguments displayed under the all-q convention."""
         names = self._state_names()
@@ -386,12 +376,11 @@ class RecurrenceSystem:
             lines.append("%s[n]: frontier %s" % (names[s], s))
             for t in self.transitions[s].terms:
                 lines.append("  + " + self._term_str(t, names))
-            if include_base:
-                base = self.base_value(s, tail, tail_rel, q_only=False)
-                lines.append("  %s[1] = %s" % (names[s], base))
+            base = self.base_value(s, tail, tail_rel)
+            lines.append("  %s[1] = %s" % (names[s], base))
         return "\n".join(lines) + "\n"
 
-    def to_json(self, tail=None, tail_rel=(), include_base=True):
+    def to_json(self, tail=None, tail_rel=()):
         names = self._state_names()
 
         def state_json(s):
@@ -409,20 +398,16 @@ class RecurrenceSystem:
             return {"coef": t.coef.to_json(), "dst": names[t.target],
                     "argmap": argmap}
 
-        out = {
+        return {
             "states": [state_json(s) for s in self.states],
             "entry": [term_json(t) for t in self.entry],
             "transitions": [
                 {"src": names[s],
                  "terms": [term_json(t) for t in self.transitions[s].terms]}
                 for s in self.states],
+            "base": {names[s]: self.base_value(s, tail, tail_rel).to_json()
+                     for s in self.states},
         }
-        if include_base:
-            out["base"] = {
-                names[s]: self.base_value(s, tail, tail_rel,
-                                          q_only=False).to_json()
-                for s in self.states}
-        return out
 
 
 def discover_states(block, rel, seed=None, seed_rel=()):

@@ -232,7 +232,7 @@ def test_criterion_4_three_rowed_recurrence_fidelity():
     q_state = FrontierState(1, frozenset({(1, 2), (1, 3)}))
     four_terms = (q_state in system.transitions
                   and len(system.transitions[q_state].terms) == 4)
-    base = system.base_value(q_state, q_only=False).substitute(
+    base = system.base_value(q_state).substitute(
         {"c1": mono_var("x1"), "p1": mono_var("x2"),
          "p2": mono_var("x3"), "p3": mono_var("x4")})
     expected = parse_rational(

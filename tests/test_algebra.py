@@ -6,9 +6,9 @@ from ppgf.algebra import (DenominatorCollapse, ParseError, Polynomial,
                           RationalFunction, dense_div_one_minus, dense_eval,
                           dense_mul, dense_mul_one_minus, dense_normalize,
                           dense_product, dense_sum, dense_to_rf, exact_div,
-                          keeps_normal_form, mono, mono_deg, mono_var,
-                          one_minus, parse_polynomial, parse_rational, rf_eq,
-                          rf_sum)
+                          keeps_normal_form, mono, mono_deg, mono_subst,
+                          mono_var, one_minus, parse_polynomial,
+                          parse_rational, rf_eq, rf_sum)
 
 P = parse_polynomial
 R = parse_rational
@@ -247,19 +247,19 @@ def test_rf_scale_monomial_product():
 
 # -- q-specialization --------------------------------------------------------
 
+def to_q(f):
+    """f with every variable sent to q."""
+    return f.substitute({v: mono_var("q") for v in f.variables()})
+
+
 def test_specialize_q_chain():
-    assert chain3().specialize_q() == R("1/((1-q)(1-q^2)(1-q^3))")
-
-
-def test_specialize_q_keep_all():
-    f = chain3()
-    assert f.specialize_q(keep={"x1", "x2", "x3"}) == f
+    assert to_q(chain3()) == R("1/((1-q)(1-q^2)(1-q^3))")
 
 
 def test_specialize_q_diamond_matches_pochhammer():
     f_d = R("(1-x1^2*x2*x3)/"
             "((1-x1)(1-x1*x2)(1-x1*x3)(1-x1*x2*x3)(1-x1*x2*x3*x4))")
-    lhs = f_d.specialize_q()
+    lhs = to_q(f_d)
     rhs = R("(1+q^2)/((1-q)(1-q^2)(1-q^3)(1-q^4))")
     assert rf_eq(lhs, rhs)
 
@@ -313,7 +313,7 @@ def test_series_agrees_with_long_division(data):
 def test_specialize_q_commutes_with_series(data):
     f = data.draw(rationals())
     bound = data.draw(st.integers(min_value=0, max_value=8))
-    lhs = f.specialize_q().series(bound)
+    lhs = to_q(f).series(bound)
     p = f.series(bound)
     rhs = p.substitute({v: mono_var("q") for v in p.variables()})
     assert lhs == rhs
@@ -522,8 +522,13 @@ def test_substitutions_that_keep_the_normal_form_need_no_division(data):
     den = data.draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4))
     f = RationalFunction(*data.draw(factored(den=den)))
     sub = data.draw(st.one_of(private_substitutions(), substitutions()))
+    full = RationalFunction(f.num.substitute(sub),
+                            [mono_subst(m, sub) for m in f.den])
+    with pytest.MonkeyPatch.context() as mp:
+        tried = recording_exact_div(mp)
+        assert f.substitute(sub) == full
     if keeps_normal_form(sub, f.variables()):
-        assert f.substitute(sub, normalize=False) == f.substitute(sub)
+        assert tried == []
 
 
 @settings(max_examples=60)
@@ -673,15 +678,20 @@ def test_dense_normalize_skips_multiples_of_failed_factors(monkeypatch):
 @settings(max_examples=150)
 @given(st.data())
 def test_dense_eval_matches_substitution(data):
+    # the numerator's (1 - m) factors survive normalization of f, and
+    # cancel against the denominator once q merges the variables
     num = data.draw(polynomials())
     den = data.draw(st.lists(monomials(nonempty=True), max_size=3))
-    for m in data.draw(st.lists(st.sampled_from(den), max_size=2)
-                       if den else st.just([])):
+    for m in data.draw(st.lists(monomials(nonempty=True), max_size=2)):
         num = num * one_minus(m)
-    f = RationalFunction(num, den, normalize=False)
-    exps = {v: data.draw(st.integers(min_value=0, max_value=3)) for v in VARS}
+    f = RationalFunction(num, den)
+    # a variable left out of exps is q itself
+    exps = {v: data.draw(st.integers(min_value=0, max_value=3))
+            for v in data.draw(st.sets(st.sampled_from(VARS)))}
+    sub = {v: mono_var("q", exps.get(v, 1)) for v in VARS}
     try:
-        expected = f.substitute({v: mono_var("q", e) for v, e in exps.items()})
+        expected = RationalFunction(f.num.substitute(sub),
+                                    [mono_subst(m, sub) for m in f.den])
     except DenominatorCollapse:
         with pytest.raises(DenominatorCollapse):
             dense_eval(f, exps)

@@ -150,6 +150,15 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_too_deep_for_the_recursion_exit_code(capsys, monkeypatch):
+    # the q-iteration recurses three frames per level, so n = 400 is past
+    # the default recursion limit
+    monkeypatch.delenv("PPGF_CACHE_DIR", raising=False)
+    code, out, err = run(capsys, "eval", "--family", "zigzag", "--n", "400")
+    assert code == 2 and out == ""
+    assert err == "error: input too deep for the recursion\n"
+
+
 def test_rpower_block_file(capsys, tmp_path):
     path = tmp_path / "block.poset"
     path.write_text("elements: 1 2\ncover: 2 1\nrel: 2 1\n")

@@ -40,7 +40,7 @@ def test_zigzag_transition_coefficients():
 
 def test_zigzag_base_value():
     sys_ = system_for(zigzag_block())
-    base = sys_.base_value(FrontierState(0, frozenset()), q_only=False)
+    base = sys_.base_value(FrontierState(0, frozenset()))
     assert base == R("1/((1-p2)(1-p1*p2))")
 
 
@@ -100,7 +100,7 @@ def test_three_rowed_transition_is_paper_recurrence():
 
 def test_three_rowed_initial_condition():
     sys_ = system_for(three_rowed_block())
-    base = sys_.base_value(Q_STATE, q_only=False)
+    base = sys_.base_value(Q_STATE)
     mapped = base.substitute({"c1": mono_var("x1"), "p1": mono_var("x2"),
                               "p2": mono_var("x3"), "p3": mono_var("x4")})
     assert mapped == R("(1-x1^2*x2^2*x3*x4)/"
@@ -132,7 +132,7 @@ def test_two_rowed_dd_base_is_diamond():
     deco = two_rowed_dd_block()
     sys_ = system_for(deco)
     (s,) = sys_.states
-    base = sys_.base_value(s, deco.tail, deco.tail_rel, q_only=False)
+    base = sys_.base_value(s, deco.tail, deco.tail_rel)
     mapped = base.substitute({"c1": mono_var("x1"), "p1": mono_var("x2"),
                               "p2": mono_var("x3"), "b1": mono_var("x4")})
     assert rf_eq(mapped, gfun(diamond()))

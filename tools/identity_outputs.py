@@ -35,8 +35,10 @@ STRATEGIES = (engine.default_strategy, engine.reversed_strategy,
               engine.ple_first_strategy)
 EVAL = {"multicube": range(1, 8), "zigzag": range(1, 13),
         "three_rowed": range(1, 7), "two_rowed_dd": range(2, 13)}
-# up to the benchmark's recurrence_mv operations: zigzag n=5, three_rowed n=3
-MULTIVARIATE = {"zigzag": range(1, 6), "three_rowed": range(1, 4)}
+# up to the benchmark's recurrence_mv operations (zigzag n=5, three_rowed
+# n=3), plus the one family with a tail and a four-element block
+MULTIVARIATE = {"zigzag": range(1, 6), "three_rowed": range(1, 4),
+                "two_rowed_dd": range(2, 9), "multicube": range(1, 3)}
 
 
 def emit(label, text):
