@@ -26,11 +26,10 @@ the recurrence's q-iteration runs on it.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import random
 import re
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 
 Q = "q"
 
@@ -109,18 +108,6 @@ def _varkey(name):
 
 def _mono_sortkey(a):
     return (mono_deg(a), tuple((_varkey(v), e) for v, e in sorted(a, key=lambda p: _varkey(p[0]))))
-
-
-_ROOT = {}
-
-
-def _root(m):
-    """The primitive monomial r with m = r^g, g the gcd of m's exponents."""
-    r = _ROOT.get(m)
-    if r is None:
-        g = math.gcd(*(e for _, e in m))
-        r = _ROOT[m] = m if g == 1 else tuple((v, e // g) for v, e in m)
-    return r
 
 
 def keeps_normal_form(sub, variables):
@@ -325,13 +312,14 @@ def _residue(name):
     return r
 
 
-def _vanishes_where_one(p, m):
-    """Whether p vanishes mod _PRIME at a fixed point where m = 1.
+def _point_where_one(m):
+    """A fixed point mod _PRIME where m = 1, by its coordinates on m's
+    variables; every variable u outside m is at its residue r_u.
 
-    exact_div's filter for m in two or more variables.  With (v, e) the
-    first item of m, every other variable u of m takes r_u^e and v takes
-    the inverse of prod r_u^e_u, so that m = (v * prod r_u^e_u)^e = 1.
-    Every variable outside m takes r_u.
+    With (v, e) the first item of m, every other variable u of m takes
+    r_u^e and v takes the inverse of prod r_u^e_u, so that
+    m = (v * prod r_u^e_u)^e = 1.  For m = v^k that is v = 1.  Every
+    multiple of (1 - m) vanishes there.
     """
     (v, e), rest = m[0], m[1:]
     point = {}
@@ -341,9 +329,15 @@ def _vanishes_where_one(p, m):
         point[u] = pow(r, e, _PRIME)
         inverse = inverse * pow(r, eu, _PRIME) % _PRIME
     point[v] = pow(inverse, -1, _PRIME)
-    powers = {}
+    return point
+
+
+def _value_at(terms, point, powers):
+    """The value mod _PRIME at point (see _point_where_one) of the sum of
+    c * mo over the (mo, c) pairs in terms.  powers caches the value
+    there of each item (u, k), for the calls at one point to share."""
     total = 0
-    for mo, c in p.terms.items():
+    for mo, c in terms:
         for item in mo:
             x = powers.get(item)
             if x is None:
@@ -351,7 +345,7 @@ def _vanishes_where_one(p, m):
                 x = powers[item] = pow(point.get(u) or _residue(u), k, _PRIME)
             c *= x
         total += c
-    return not total % _PRIME
+    return total % _PRIME
 
 
 def _div_one_variable(p, v, k):
@@ -407,7 +401,8 @@ def exact_div(p, m):
 
       * every variable at 1: p's coefficient sum must be 0;
       * a point modulo the prime 2^61 - 1 whose other coordinates are
-        fixed pseudo-random residues (see _vanishes_where_one).
+        fixed pseudo-random residues (see _point_where_one), the point
+        at which rf_sum reads a lifted numerator off its parts.
 
     The division then works degree layer by degree layer using
     q = p + m*q: the lowest remaining layer of the work pile is forced to
@@ -423,7 +418,7 @@ def exact_div(p, m):
         return _div_one_variable(p, *m[0])
     if sum(p.terms.values()):
         return None
-    if not _vanishes_where_one(p, m):
+    if _value_at(p.terms.items(), _point_where_one(m), {}):
         return None
     dm = mono_deg(m)
     maxd = p.degree()
@@ -488,18 +483,20 @@ class RationalFunction:
         if normalize:
             self._normalize()
 
-    def _normalize(self, skip=()):
+    def _normalize(self, skip=None):
         """Cancel denominator factors against the numerator in one pass.
 
         Each factor is tried once, in order.  A factor that fails never
         needs a retry: if (1 - m) does not divide N, it does not divide
         N / (1 - m') either, so the copies of a failed factor, side by
         side in the sorted denominator, are not tried, and neither is a
-        factor in skip, which the caller knows to fail.  Once the
-        numerator's coefficient sum is nonzero no factor can divide it,
-        since every multiple of (1 - m) vanishes where all variables are
-        1, so the pass stops.  Most factors of the deletion identity are
-        one-variable (1 - x_b), and exact_div settles those by
+        factor m for which skip(m) holds, the caller's proof that (1 - m)
+        does not divide the given numerator; skip is asked only when m is
+        about to be tried, and a skipped factor counts as failed.  Once
+        the numerator's coefficient sum is nonzero no factor can divide
+        it, since every multiple of (1 - m) vanishes where all variables
+        are 1, so the pass stops.  Most factors of the deletion identity
+        are one-variable (1 - x_b), and exact_div settles those by
         residue-class sums without a polynomial division.
         """
         if self.num.is_zero():
@@ -510,12 +507,13 @@ class RationalFunction:
         failed = None
         divisible = not sum(num.terms.values())
         for m in self.den:
-            if divisible and m != failed and m not in skip:
-                q = exact_div(num, m)
-                if q is not None:
-                    num = q
-                    divisible = not sum(num.terms.values())
-                    continue
+            if divisible and m != failed:
+                if skip is None or not skip(m):
+                    q = exact_div(num, m)
+                    if q is not None:
+                        num = q
+                        divisible = not sum(num.terms.values())
+                        continue
                 failed = m
             kept.append(m)
         self.num = num
@@ -566,7 +564,7 @@ class RationalFunction:
         numerator, nor the numerator over (1 - m), so only (1 - m) is
         tried."""
         f = RationalFunction(self.num, self.den + (m,), normalize=False)
-        f._normalize(skip=frozenset(self.den))
+        f._normalize(skip=frozenset(self.den).__contains__)
         return f
 
     def substitute(self, sub):
@@ -666,7 +664,13 @@ def _trunc_mul(a, b, bound):
 def rf_sum(terms):
     """Sum of rational functions over the least common factored denominator.
 
-    Its normalization does not try the factors _settled rules out.
+    Each part's numerator N_i is lifted by the factors (1 - m) its
+    denominator lacks, and the lifted sum L is normalized.  Where the
+    parts hold fewer terms than L, a factor m is first tested on them:
+    L's value mod 2^61 - 1 at the point where m = 1 (_point_where_one) is
+    the sum of the N_i there times their lacked factors there.  A nonzero
+    value proves that (1 - m) divides neither L nor any quotient of it,
+    so m is not tried (see _lifted_value); the result is the same.
     """
     terms = list(terms)
     if not terms:
@@ -674,60 +678,73 @@ def rf_sum(terms):
     if len(terms) == 1:
         return terms[0]
     common = {}
-    owner = {}  # factor -> the one part at its top multiplicity, or None
-    for i, f in enumerate(terms):
+    for f in terms:
         seen = {}
         for m in f.den:
             seen[m] = seen.get(m, 0) + 1
         for m, k in seen.items():
-            top = common.get(m, 0)
-            if top < k:
+            if common.get(m, 0) < k:
                 common[m] = k
-                owner[m] = i
-            elif top == k:
-                owner[m] = None
     num = Polynomial.zero()
+    parts = []
     for f in terms:
-        part = f.num
         have = {}
         for m in f.den:
             have[m] = have.get(m, 0) + 1
-        for m, k in common.items():
-            for _ in range(k - have.get(m, 0)):
-                part = part * one_minus(m)
+        lack = [m for m, k in common.items()
+                for _ in range(k - have.get(m, 0))]
+        part = f.num
+        for m in lack:
+            part = part * one_minus(m)
         num = num + part
+        parts.append((f.num, lack))
     den = []
     for m, k in common.items():
         den.extend([m] * k)
     f = RationalFunction(num, den, normalize=False)
-    f._normalize(_settled(terms, owner)
-                 if num and not sum(num.terms.values()) else ())
+    small = sum(len(p.terms) for p, _ in parts) < len(num.terms)
+    f._normalize(_ruled_out_on(parts) if small else None)
     return f
 
 
-def _settled(terms, owner):
-    """The factors of a sum's common denominator that cannot divide its
-    lifted numerator; owner maps each factor to the one part holding it
-    at the top multiplicity, or to None on a tie.
+def _lifted_value(parts, point):
+    """The value mod _PRIME at point of the sum of num * prod (1 - m) over
+    m in lack, for the (num, lack) pairs in parts, read off the parts."""
+    powers = {}
+    total = 0
+    for num, lack in parts:
+        x = 1
+        for m in lack:
+            x = x * (1 - _value_at(((m, 1),), point, powers)) % _PRIME
+        if x:
+            total += x * _value_at(num.terms.items(), point, powers)
+    return total % _PRIME
 
-    Take a factor m with an owner, where no other factor shares m's
-    primitive root r.  Every other part is lifted by (1 - m); the owner
-    only by factors with other roots, each coprime to (1 - m), since with
-    m = r^g, 1 - m is the product of the Phi_d(r) over d dividing g, each
-    of them irreducible.  So (1 - m) divides the lifted sum iff it
-    divides the owner's numerator, whether the parts are normal or not.
+
+def _ruled_out_on(parts):
+    """The test by which rf_sum's normalization skips a factor m: the
+    lifted sum of parts is nonzero at the point where m = 1.
+
+    For m = v^k that point is v = 1 with every other variable at its
+    residue; when no part has another variable, it is the all-ones point,
+    whose value the normalization has already found to be 0, so the test
+    is not run.
     """
-    roots = {}
-    for m in owner:
-        r = _root(m)
-        roots[r] = roots.get(r, 0) + 1
-    out = set()
-    for m, i in owner.items():
-        if i is not None and roots[_root(m)] == 1:
-            num = terms[i].num
-            if sum(num.terms.values()) or exact_div(num, m) is None:
-                out.add(m)
-    return out
+    alone = {}
+
+    def ruled_out(m):
+        if len(m) == 1:
+            v = m[0][0]
+            if v not in alone:
+                alone[v] = all(u == v for num, lack in parts
+                               for mo in chain(num.terms, lack)
+                               for u, _ in mo)
+            if alone[v]:
+                return False
+        # a part lacking (1 - m) itself adds 0 at m's point
+        return bool(_lifted_value([part for part in parts if m not in part[1]],
+                                  _point_where_one(m)))
+    return ruled_out
 
 
 def rf_eq(a, b):

@@ -158,7 +158,10 @@ def cmd_eval(args):
     f = system.evaluate(nblocks, deco.tail, deco.tail_rel,
                         q_only=not args.multivariate)
     if path:
-        _write_cache(path, stamp, f)
+        try:
+            _write_cache(path, stamp, f)
+        except OSError as exc:
+            print("warning: eval cache not written: %s" % exc, file=sys.stderr)
     _print_rf(f, args.json)
     return 0
 

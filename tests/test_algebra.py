@@ -406,6 +406,41 @@ def test_rf_sum_tries_a_factor_that_shares_a_root():
     assert a + b == RationalFunction.one()
 
 
+def test_rf_sum_skips_a_factor_ruled_out_on_its_parts(monkeypatch):
+    # both parts hold (1 - x1*x2), so neither decides it alone; the
+    # lifted sum 2 - x3 - x4 is nonzero at the point where x1*x2 = 1
+    a, b = R("1/((1-x1*x2)(1-x3))"), R("1/((1-x1*x2)(1-x4))")
+    tried = recording_exact_div(monkeypatch)
+    total = a + b
+    assert tried == []
+    assert total == R("(2 - x3 - x4)/((1-x1*x2)(1-x3)(1-x4))")
+
+
+def test_rf_sum_cancels_a_factor_whose_parts_value_is_zero(monkeypatch):
+    # 1/((1-x1)(1-x2)) = (1/(1-x2) + x1/(1-x1))/(1-x1*x2); the third part
+    # makes the lifted sum (8 terms) longer than the parts (3 terms)
+    parts = [R("1/((1-x2)(1-x1*x2))"), R("x1/((1-x1)(1-x1*x2))"),
+             R("x4/(1-x4)")]
+    tried = recording_exact_div(monkeypatch)
+    total = rf_sum(parts)
+    assert tried == [mono({"x1": 1, "x2": 1})]
+    assert total == R("(1 - x1*x4 - x2*x4 + x1*x2*x4)/((1-x1)(1-x2)(1-x4))")
+
+
+def test_rf_sum_never_runs_the_parts_test_on_an_all_q_sum(monkeypatch):
+    # at q = 1 the parts test reads the coefficient sum, already known 0
+    calls = []
+    value = algebra._lifted_value
+    monkeypatch.setattr(algebra, "_lifted_value",
+                        lambda parts, point: calls.append(point)
+                        or value(parts, point))
+    assert R("1/(1-q)") + R("1/(1-q^3)") == R("(2 + q + q^2)/(1-q^3)")
+    assert calls == []
+    # another variable moves the point off the all-ones point
+    assert R("1/(1-q)") + R("x1/(1-q^3)") == R("(1 + q + q^2 + x1)/(1-q^3)")
+    assert len(calls) == 1
+
+
 def test_keeps_normal_form():
     x = {v: mono_var(v) for v in ("x1", "x2", "y1", "y2")}
     assert keeps_normal_form({"x1": x["y1"], "x2": x["y2"]}, ["x1", "x2"])
@@ -445,11 +480,16 @@ def factored(draw, den=None):
     return num, den
 
 
+def lacked(den, common):
+    """The factors of the multiset common that den lacks."""
+    return [m for m in set(common)
+            for _ in range(common.count(m) - den.count(m))]
+
+
 def lifted(num, den, common):
     """num times the factors that den lacks of the multiset common."""
-    for m in set(common):
-        for _ in range(common.count(m) - den.count(m)):
-            num = num * one_minus(m)
+    for m in lacked(den, common):
+        num = num * one_minus(m)
     return num
 
 
@@ -483,6 +523,25 @@ def test_rf_sum_matches_full_normalization(data):
     total = sum((lifted(f.num, f.den, common) for f in parts),
                 Polynomial.zero())
     assert rf_sum(parts) == RationalFunction(total, common)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lifted_value_is_the_lifted_sum_at_the_point(data):
+    # FACTORS repeat and share roots, some are not primitive, and a part
+    # may have a zero numerator
+    part = st.one_of(factored(), factored().map(
+        lambda drawn: (Polynomial.zero(), drawn[1])))
+    drawn = data.draw(st.lists(part, min_size=1, max_size=4))
+    common = least_common([den for _, den in drawn])
+    parts = [(num, lacked(den, common)) for num, den in drawn]
+    total = sum((lifted(num, den, common) for num, den in drawn),
+                Polynomial.zero())
+    for m in set(common):
+        point = algebra._point_where_one(m)
+        assert algebra._value_at(((m, 1),), point, {}) == 1
+        assert (algebra._lifted_value(parts, point)
+                == algebra._value_at(total.terms.items(), point, {}))
 
 
 @settings(max_examples=200, deadline=None)

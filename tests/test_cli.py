@@ -110,6 +110,19 @@ def test_eval_cache(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == files
 
 
+def test_eval_cache_that_cannot_be_written(capsys, tmp_path, monkeypatch):
+    # a cache path through a regular file fails to write, like an
+    # unreadable entry fails to read: the result is still printed
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("PPGF_CACHE_DIR", str(blocker / "cache"))
+    code, out, err = run(capsys, "eval", "--family", "zigzag", "--n", "3")
+    monkeypatch.delenv("PPGF_CACHE_DIR")
+    _, expected, _ = run(capsys, "eval", "--family", "zigzag", "--n", "3")
+    assert code == 0 and out == expected
+    assert err.startswith("warning: eval cache not written") and err.count("\n") == 1
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--family", "diamond", "--bound", "8")
     assert code == 0 and out.startswith("pass")
