@@ -20,7 +20,8 @@ is reserved for the one-variable specialization.
 
 Rational functions in q alone also have a dense form, a coefficient list
 over a tuple of exponents, with its own arithmetic (the dense_* functions);
-the recurrence's q-iteration runs on it.
+the recurrence's q-iteration runs on it, and so does every rf_sum whose
+parts are all in one variable (gfun_q's sums), read in that variable.
 """
 
 from __future__ import annotations
@@ -664,8 +665,12 @@ def _trunc_mul(a, b, bound):
 def rf_sum(terms):
     """Sum of rational functions over the least common factored denominator.
 
-    Each part's numerator N_i is lifted by the factors (1 - m) its
-    denominator lacks, and the lifted sum L is normalized.  Where the
+    When every part is in one variable v, with no negative exponent, the
+    sum runs on the dense kernel in v (dense_sum), whose normalization
+    follows _normalize rule for rule, so the result is the same.
+
+    Otherwise each part's numerator N_i is lifted by the factors (1 - m)
+    its denominator lacks, and the lifted sum L is normalized.  Where the
     parts hold fewer terms than L, a factor m is first tested on them:
     L's value mod 2^61 - 1 at the point where m = 1 (_point_where_one) is
     the sum of the N_i there times their lacked factors there.  A nonzero
@@ -677,6 +682,9 @@ def rf_sum(terms):
         return RationalFunction.zero()
     if len(terms) == 1:
         return terms[0]
+    v = _sole_variable(terms)
+    if v is not None:
+        return dense_to_rf(dense_sum([to_dense(f, {}) for f in terms]), v)
     common = {}
     for f in terms:
         seen = {}
@@ -721,26 +729,31 @@ def _lifted_value(parts, point):
     return total % _PRIME
 
 
+def _sole_variable(terms):
+    """The one variable of rational functions that have no other and no
+    negative exponent (Q when they have none at all), else None."""
+    vs = set()
+    for f in terms:
+        for mo in chain(f.num.terms, f.den):
+            for u, e in mo:
+                if e < 0:
+                    return None
+                vs.add(u)
+        if len(vs) > 1:
+            return None
+    return vs.pop() if vs else Q
+
+
 def _ruled_out_on(parts):
     """The test by which rf_sum's normalization skips a factor m: the
     lifted sum of parts is nonzero at the point where m = 1.
 
-    For m = v^k that point is v = 1 with every other variable at its
-    residue; when no part has another variable, it is the all-ones point,
-    whose value the normalization has already found to be 0, so the test
-    is not run.
+    rf_sum sums one-variable parts dense, so m's point is the all-ones
+    point, whose value the normalization has already found to be 0, only
+    in a one-variable sum with a negative exponent; there the test is
+    wasted, never wrong.
     """
-    alone = {}
-
     def ruled_out(m):
-        if len(m) == 1:
-            v = m[0][0]
-            if v not in alone:
-                alone[v] = all(u == v for num, lack in parts
-                               for mo in chain(num.terms, lack)
-                               for u, _ in mo)
-            if alone[v]:
-                return False
         # a part lacking (1 - m) itself adds 0 at m's point
         return bool(_lifted_value([part for part in parts if m not in part[1]],
                                   _point_where_one(m)))
@@ -859,10 +872,12 @@ def dense_normalize(num, den):
     return num, tuple(kept)
 
 
-def dense_eval(f, exps):
-    """f at the point where each variable v is q^exps[v], normalized.
+def to_dense(f, exps):
+    """f at the point where each variable v is q^exps[v], as a dense value
+    before normalization.
 
-    A variable with no entry in exps is q itself (exponent 1).  Every
+    A variable with no entry in exps is q itself (exponent 1), so with
+    exps empty a function in one variable v is read as one in q.  Every
     exponent of the result must be non-negative.
     """
     num = {}
@@ -884,7 +899,13 @@ def dense_eval(f, exps):
     coeffs = [0] * (max(num, default=-1) + 1)
     for d, c in num.items():
         coeffs[d] = c
-    return dense_normalize(_trim(coeffs), sorted(den))
+    return _trim(coeffs), tuple(sorted(den))
+
+
+def dense_eval(f, exps):
+    """f at the point where each variable v is q^exps[v], normalized
+    (see to_dense)."""
+    return dense_normalize(*to_dense(f, exps))
 
 
 def dense_product(f, g):
@@ -958,11 +979,11 @@ def dense_sum(values):
     return dense_normalize(_trim(total), common)
 
 
-def dense_to_rf(value):
-    """The RationalFunction in q of a dense value (already normalized)."""
+def dense_to_rf(value, v=Q):
+    """The RationalFunction in v of a dense value (already normalized)."""
     num, den = value
-    terms = {mono_var(Q, d): c for d, c in enumerate(num) if c}
-    return RationalFunction(Polynomial(terms), [mono_var(Q, k) for k in den],
+    terms = {mono_var(v, d): c for d, c in enumerate(num) if c}
+    return RationalFunction(Polynomial(terms), [mono_var(v, k) for k in den],
                             normalize=False)
 
 

@@ -15,11 +15,15 @@ from .poset import Poset, rplus, rplus_offset, power
 
 
 def chain(n, name=None):
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return Poset.build(range(1, n + 1), [(i, i + 1) for i in range(1, n)],
                        name=name or "chain-%d" % n)
 
 
 def antichain(n, name=None):
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return Poset.build(range(1, n + 1), (), name=name or "antichain-%d" % n)
 
 
@@ -136,7 +140,9 @@ def build_family(name, n=None, block=None, rels=None):
     if name == "rpower":
         if block is None or rels is None:
             raise ValueError("rpower needs a block poset with rel: lines")
-        return power(block, rels, n or 1, name="rpower-%d" % (n or 1))
+        if n is None:
+            n = 1
+        return power(block, rels, n, name="rpower-%d" % n)
     if n is None:
         raise ValueError("family %r needs n" % name)
     builders = {"chain": chain, "antichain": antichain, "zigzag": zigzag,

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -428,17 +430,31 @@ def test_rf_sum_cancels_a_factor_whose_parts_value_is_zero(monkeypatch):
 
 
 def test_rf_sum_never_runs_the_parts_test_on_an_all_q_sum(monkeypatch):
-    # at q = 1 the parts test reads the coefficient sum, already known 0
+    # an all-q sum runs dense: neither the parts test nor a sparse division
+    a, b, c = R("1/(1-q)"), R("1/(1-q^3)"), R("x1/(1-q^3)")
+    expected = R("(2 + q + q^2)/(1-q^3)")
     calls = []
     value = algebra._lifted_value
     monkeypatch.setattr(algebra, "_lifted_value",
                         lambda parts, point: calls.append(point)
                         or value(parts, point))
-    assert R("1/(1-q)") + R("1/(1-q^3)") == R("(2 + q + q^2)/(1-q^3)")
-    assert calls == []
+    tried = recording_exact_div(monkeypatch)
+    assert a + b == expected
+    assert calls == [] and tried == []
     # another variable moves the point off the all-ones point
-    assert R("1/(1-q)") + R("x1/(1-q^3)") == R("(1 + q + q^2 + x1)/(1-q^3)")
+    assert a + c == RationalFunction(P("1 + q + q^2 + x1"), (mono_var("q", 3),))
     assert len(calls) == 1
+
+
+def test_rf_sum_stays_sparse_where_the_dense_form_does_not_fit(monkeypatch):
+    # the lifted sum 1 - q^2 + x1 - x1*q is divided by (1 - q) sparsely
+    a, b = R("1/(1-q)"), R("x1/(1-q^2)")
+    tried = recording_exact_div(monkeypatch)
+    assert a + b == RationalFunction(P("1 + q + x1"), (mono_var("q", 2),))
+    assert tried == [mono_var("q")]
+    # a dense value holds no negative exponent
+    f = RationalFunction(Polynomial.term(mono_var("q", -1)), (mono_var("q"),))
+    assert f + f == RationalFunction(f.num * 2, f.den)
 
 
 def test_keeps_normal_form():
@@ -496,6 +512,14 @@ def lifted(num, den, common):
 def least_common(dens):
     return sorted(m for m in set().union(*dens)
                   for _ in range(max(den.count(m) for den in dens)))
+
+
+def fully_normalized_sum(parts):
+    """The sum of parts by full sparse normalization of the lifted sum."""
+    common = least_common([f.den for f in parts])
+    total = sum((lifted(f.num, f.den, common) for f in parts),
+                Polynomial.zero())
+    return RationalFunction(total, common)
 
 
 @settings(max_examples=300, deadline=None)
@@ -677,7 +701,7 @@ def test_dense_rationals_match_sparse(data):
     sparse = [RationalFunction(p, q_den(ks)) for p, ks in drawn]
     for d, f in zip(dense, sparse):
         assert dense_to_rf(d) == f
-    assert dense_to_rf(dense_sum(dense)) == rf_sum(sparse)
+    assert dense_to_rf(dense_sum(dense)) == fully_normalized_sum(sparse)
     if len(drawn) >= 2:
         assert (dense_to_rf(dense_product(dense[0], dense[1]))
                 == sparse[0] * sparse[1])
@@ -706,7 +730,39 @@ def test_dense_sum_lifts_shared_factors_as_rf_sum(data):
                                min_size=3, max_size=8))
     dense = [(q_coeffs(p), tuple(sorted(ks))) for p, ks in drawn]
     sparse = [RationalFunction(p, q_den(ks), normalize=False) for p, ks in drawn]
-    assert dense_to_rf(dense_sum(dense)) == rf_sum(sparse)
+    assert dense_to_rf(dense_sum(dense)) == fully_normalized_sum(sparse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(("q", "x1")))
+def test_one_variable_sums_run_dense(data, v):
+    # two or more parts over a few shared denominators of DIVISOR_KS, which
+    # repeat and divide each other; numerators may be 0; the last part may
+    # bring the lifted sum to a multiple of some factors, or to 0
+    to_v = {"q": mono_var(v)}
+    dens = data.draw(st.lists(st.lists(st.sampled_from(DIVISOR_KS), max_size=5),
+                              min_size=1, max_size=3))
+    numerators = st.one_of(st.just(Polynomial.zero()), q_polynomials())
+    drawn = [(data.draw(numerators).substitute(to_v),
+              [mono_var(v, k) for k in data.draw(st.sampled_from(dens))])
+             for _ in range(data.draw(st.integers(min_value=1, max_value=4)))]
+    common = least_common([den for _, den in drawn])
+    target = data.draw(numerators).substitute(to_v)
+    for k in data.draw(st.lists(st.sampled_from(DIVISOR_KS), max_size=3)):
+        target = target * one_minus(mono_var(v, k))
+    if data.draw(st.booleans()):
+        rest = sum((lifted(num, den, common) for num, den in drawn),
+                   Polynomial.zero())
+        drawn.append((target - rest, common))
+    else:
+        drawn.append((target, [mono_var(v, k)
+                               for k in data.draw(st.sampled_from(dens))]))
+    parts = [RationalFunction(num, den, normalize=data.draw(st.booleans()))
+             for num, den in drawn]
+    expected = fully_normalized_sum(parts)
+    with mock.patch.object(algebra, "exact_div") as div:
+        assert rf_sum(parts) == expected
+    assert not div.called
 
 
 @settings(max_examples=150, deadline=None)

@@ -152,6 +152,25 @@ def test_negative_bound_exit_code(capsys):
     assert code == 2 and out == "" and "negative" in err
 
 
+def test_meaningless_n_exit_code(capsys, tmp_path):
+    for family in ("chain", "antichain"):
+        code, out, err = run(capsys, "qgfun", "--family", family, "--n", "-1")
+        assert code == 2 and out == "" and "n must be >= 0" in err
+        # n = 0 is the empty poset
+        code, out, _ = run(capsys, "qgfun", "--family", family, "--n", "0")
+        assert code == 0 and out.strip() == "1"
+    path = tmp_path / "block.poset"
+    path.write_text("elements: 1 2\ncover: 2 1\nrel: 2 1\n")
+    for n in ("0", "-2"):
+        code, out, err = run(capsys, "qgfun", "--family", "rpower",
+                             "--block", str(path), "--n", n)
+        assert code == 2 and out == "" and "n must be >= 1" in err
+    # an omitted n is one block copy
+    code, out, _ = run(capsys, "qgfun", "--family", "rpower",
+                       "--block", str(path))
+    assert code == 0 and out.strip() == "1/((1-q)(1-q^2))"
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "gfun", str(tmp_path / "missing.poset"))
     assert code == 2 and "error" in err

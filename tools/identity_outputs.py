@@ -12,7 +12,9 @@ ppgf is imported from PYTHONPATH, so the same script serves both trees.
 The posets come from the benchmark's pinned corpora (perfbench/workloads.py).
 The first section prints the poset layer itself: every deletion of a
 removable element and every gluing along a 2-antichain of the first 40
-acceptance-corpus posets.
+acceptance-corpus posets.  gfun_q of the first 40 wide posets is printed
+under the default and the reversed strategy, and under ple_first for the
+9 of them with at most 35 nonempty antichains.
 The eval disk cache is switched off, so every value is computed.
 """
 
@@ -74,6 +76,14 @@ def main():
         emit("gfun_q %d" % i, engine.gfun_q(p).dumps())
     for i, p in enumerate(corpus(Poset, 40, 10, 12, 0.35, CORPUS_SEED)):
         emit("wide gfun_q %d" % i, engine.gfun_q(p).dumps())
+        # ple_first glues wide antichains, summing up to 2^|A| - 1 parts;
+        # posets with more antichains take from 13 s to minutes each on a
+        # 2-core Xeon
+        for s in STRATEGIES[1:]:
+            if s is engine.ple_first_strategy and p.antichain_count() > 35:
+                continue
+            emit("wide gfun_q %d %s" % (i, s.__name__),
+                 engine.gfun_q(p, strategy=s).dumps())
     for family, ns in EVAL.items():
         for n in ns:
             run_cli(["eval", "--family", family, "--n", str(n), "--json"])
