@@ -29,7 +29,16 @@ def _read_poset_file(path):
         return parse_poset_text(fh.read())
 
 
+def _reject_ignored(args, reads_file):
+    """Refuse a poset file or a --block that the command would ignore."""
+    if args.poset and (args.family or not reads_file):
+        raise PosetError("%s would ignore the poset file" % args.command)
+    if args.block and args.family != "rpower" and (reads_file or args.family):
+        raise PosetError("--block is read only with --family rpower")
+
+
 def _input_poset(args):
+    _reject_ignored(args, True)
     if args.family:
         block, rels = (None, None)
         if args.family == "rpower":
@@ -45,6 +54,7 @@ def _input_poset(args):
 
 
 def _decomposition(args):
+    _reject_ignored(args, False)
     block, rels = (None, None)
     if args.block:
         block, rels = _read_poset_file(args.block)

@@ -21,8 +21,9 @@ Placeholders are never deleted or glued; only their monomials absorb
 multipliers, which become the argument substitutions of the recurrence.
 
 Coefficients and base values (f at n = 1, one per state) name the first
-block copy p<e>.  The multivariate iteration keeps that name for copy 1
-at every level and names copy j >= 2 p<j>_<e>, so neither is ever
+block copy p<e>.  Both iterations build level m from level m - 1 alone,
+from the base values up.  The multivariate one keeps that name for copy
+1 at every level and names copy j >= 2 p<j>_<e>, so neither is ever
 renamed; the q-iteration evaluates the same values densely, reading each
 variable it does not bind as q.
 """
@@ -193,7 +194,6 @@ class RecurrenceSystem:
         self.entry = tuple(entry)
         self.transitions = dict(transitions)
         self._base_cache = {}
-        self._level_cache = {}
 
     @property
     def states(self):
@@ -243,25 +243,6 @@ class RecurrenceSystem:
 
     # -- iteration ------------------------------------------------------
 
-    def _levels(self, upto, tail, tail_rel):
-        """Multivariate bottom-up iteration.  At level m, copy 1 of the
-        block keeps the base values' names p<e> and copy j >= 2 is named
-        p<j>_<e>."""
-        key = (tail, frozenset(tail_rel))
-        levels = self._level_cache.setdefault(key, {})
-        if 1 not in levels:
-            levels[1] = {s: self.base_value(s, tail, tail_rel)
-                         for s in self.transitions}
-        m = max(levels)
-        while m < upto:
-            prev = levels[m]
-            m += 1
-            cur = {}
-            for s, tr in self.transitions.items():
-                cur[s] = self._apply_terms(tr.terms, prev, m)
-            levels[m] = cur
-        return levels
-
     def _apply_terms(self, terms, prev, m):
         """Sum of coef * F_target[m-1] under each term's substitution; the
         result uses copies 1..m, the previous level's copy j becoming
@@ -278,50 +259,55 @@ class RecurrenceSystem:
         return rf_sum(parts)
 
     def _eval_q(self, n, tail, tail_rel):
-        """Top-down q-specialized iteration.
+        """Bottom-up q-specialized iteration.
 
-        Once every deep variable is q, each recursive call receives
-        concrete powers of q for its frontier and first-copy arguments, so
-        every value is univariate; memoizing on (state, level, argument
-        exponents) keeps the call tree polynomial.  Every value, the entry
-        terms' included, is dense (see algebra.dense_eval) until the result
-        is returned as a RationalFunction.  exps maps each bound variable
-        to its exponent of q; an unbound variable (every entry variable,
-        every tail variable) is q itself, as in algebra.dense_eval.
+        With every deep variable q, a level's value is fixed by its key
+        (state, chain-argument exponents, first-copy exponents) and is
+        dense (see algebra.dense_eval).  A top-down pass on exponents
+        finds the keys each level reads; their values are then built from
+        level 1 up.  exps maps each bound variable to its exponent of q;
+        an unbound one (every entry and tail variable) is q itself.
         """
-        memo = self._level_cache.setdefault(("q", tail, frozenset(tail_rel)), {})
         block_elts = tuple(sorted(self.block.elements))
 
-        def arg_exponents(t, exps):
-            cexps = tuple(sum(exps.get(v, 1) * e for v, e in arg)
-                          for arg in t.chain_args)
-            pexps = tuple(1 + sum(exps.get(v, 1) * e for v, e in t.mult(b))
-                          for b in block_elts)
-            return cexps, pexps
-
-        def terms_sum(terms, m, exps):
-            """Sum of coef * F_target[m] over the terms, at exps; a list,
-            not a generator, so that a level costs no extra stack frame."""
-            return dense_sum([
-                dense_product(dense_eval(t.coef, exps),
-                              eval_state(t.target, m, *arg_exponents(t, exps)))
-                for t in terms])
-
-        def eval_state(s, m, cexps, pexps):
-            key = (s, m, cexps, pexps)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        def exps_of(cexps, pexps):
             exps = {"c%d" % i: k for i, k in enumerate(cexps, start=1)}
             exps.update(("p%d" % b, k) for b, k in zip(block_elts, pexps))
-            if m == 1:
-                f = dense_eval(self.base_value(s, tail, tail_rel), exps)
-            else:
-                f = terms_sum(self.transitions[s].terms, m - 1, exps)
-            memo[key] = f
-            return f
+            return exps
 
-        return dense_to_rf(terms_sum(self.entry, n - 1, {}))
+        def reads(terms, exps, below):
+            """Each term's key one level down; below keeps one of each."""
+            def exp(mono):
+                return sum(exps.get(v, 1) * e for v, e in mono)
+            out = []
+            for t in terms:
+                mults = dict(t.copy_mults)
+                key = (t.target, tuple(map(exp, t.chain_args)),
+                       tuple(1 + exp(mults.get(b, ())) for b in block_elts))
+                out.append(below.setdefault(key, key))
+            return out
+
+        def terms_sum(terms, exps, values):
+            return dense_sum([dense_product(dense_eval(t.coef, exps), f)
+                              for t, f in zip(terms, values)])
+
+        # levels[i] maps each key of level n - 1 - i to the keys it reads
+        keys, levels = {}, []
+        top = reads(self.entry, {}, keys)
+        for _ in range(n - 2):
+            below = {}
+            levels.append({(s, c, p): reads(self.transitions[s].terms,
+                                            exps_of(c, p), below)
+                           for s, c, p in keys})
+            keys = below
+        level = {(s, c, p): dense_eval(self.base_value(s, tail, tail_rel),
+                                       exps_of(c, p))
+                 for s, c, p in keys}
+        for level_reads in reversed(levels):
+            level = {(s, c, p): terms_sum(self.transitions[s].terms,
+                                          exps_of(c, p), map(level.get, ks))
+                     for (s, c, p), ks in level_reads.items()}
+        return dense_to_rf(terms_sum(self.entry, {}, map(level.get, top)))
 
     def evaluate(self, n, tail=None, tail_rel=(), q_only=True):
         """f_{X_n}; q-specialized by default, multivariate in the element
@@ -336,8 +322,12 @@ class RecurrenceSystem:
             return engine.gfun_q(x1) if q_only else engine.gfun(x1)
         if q_only:
             return self._eval_q(n, tail, tail_rel)
-        levels = self._levels(n - 1, tail, tail_rel)
-        f = self._apply_terms(self.entry, levels[n - 1], n)
+        level = {s: self.base_value(s, tail, tail_rel)
+                 for s in self.transitions}
+        for m in range(2, n):
+            level = {s: self._apply_terms(tr.terms, level, m)
+                     for s, tr in self.transitions.items()}
+        f = self._apply_terms(self.entry, level, n)
         _, idmap = deco.assemble(n)
         final = {}
         for spec, wid in idmap.items():

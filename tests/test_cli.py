@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ppgf.algebra import parse_rational, rf_eq, RationalFunction
+from ppgf.algebra import mono_var, parse_rational, rf_eq, RationalFunction
 from ppgf.cli import main
 from ppgf.engine import gfun_q
 from ppgf.families import two_rowed_dd
@@ -182,13 +182,46 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
-def test_too_deep_for_the_recursion_exit_code(capsys, monkeypatch):
-    # the q-iteration recurses three frames per level, so n = 400 is past
-    # the default recursion limit
-    monkeypatch.delenv("PPGF_CACHE_DIR", raising=False)
-    code, out, err = run(capsys, "eval", "--family", "zigzag", "--n", "400")
+def test_too_deep_for_the_recursion_exit_code(capsys):
+    # the engine recurses once per element, so a 400-element antichain is
+    # past the default recursion limit
+    code, out, err = run(capsys, "qgfun", "--family", "antichain", "--n", "400")
     assert code == 2 and out == ""
     assert err == "error: input too deep for the recursion\n"
+
+
+def test_eval_has_no_depth_limit(capsys, tmp_path, monkeypatch):
+    # the recurrence iterates its levels in a loop: 600 copies of a
+    # one-element block form the 600-element chain
+    monkeypatch.delenv("PPGF_CACHE_DIR", raising=False)
+    path = tmp_path / "one.poset"
+    path.write_text("elements: 1\nrel: 1 1\n")
+    code, out, _ = run(capsys, "eval", "--block", str(path), "--n", "600",
+                       "--json")
+    assert code == 0
+    chain = RationalFunction(1, [mono_var("q", i) for i in range(1, 601)])
+    assert out == chain.dumps() + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "zigzag", "--n", "2", "--block", "B"),
+    ("recurrence", "--family", "zigzag", "--block", "B"),
+    ("qgfun", "--family", "zigzag", "--n", "2", "--block", "B"),
+    ("gfun", "--family", "chain", "--n", "2", "--block", "B"),
+    ("verify", "--family", "zigzag", "--n", "2", "--block", "B"),
+    ("gfun", "P", "--block", "B"),
+    ("gfun", "P", "--family", "chain", "--n", "2"),
+    ("qgfun", "P", "--family", "chain", "--n", "2"),
+    ("eval", "P", "--family", "zigzag", "--n", "2"),
+])
+def test_ignored_input_is_an_error(capsys, tmp_path, argv):
+    # a poset file or --block the command would not read is refused
+    for name in ("P", "B"):
+        (tmp_path / name).write_text("elements: 1 2\ncover: 1 2\nrel: 2 1\n")
+    argv = [str(tmp_path / a) if a in ("P", "B") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_rpower_block_file(capsys, tmp_path):

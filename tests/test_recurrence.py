@@ -189,6 +189,21 @@ def test_multivariate_evaluation_matches_engine():
             assert verify(x, got, 6).ok
 
 
+def test_evaluations_do_not_share_state():
+    # a larger n first, then a smaller one, on one system; three_rowed's
+    # multivariate form takes half a minute at n = 4, so it runs at 3 then 2
+    cases = [(zigzag_block(), True, (5, 3)), (zigzag_block(), False, (5, 3)),
+             (three_rowed_block(), True, (5, 3)),
+             (three_rowed_block(), False, (3, 2))]
+    for deco, q_only, ns in cases:
+        sys_ = system_for(deco)
+        for n in ns:
+            got = sys_.evaluate(n, deco.tail, deco.tail_rel, q_only=q_only)
+            fresh = system_for(deco).evaluate(n, deco.tail, deco.tail_rel,
+                                              q_only=q_only)
+            assert got.dumps() == fresh.dumps()
+
+
 # -- prefix elimination surfaces -------------------------------------------------
 
 def test_eliminate_prefix_three_rowed_entry():

@@ -35,8 +35,8 @@ from workloads import CORPUS_SEED, corpus  # noqa: E402
 
 STRATEGIES = (engine.default_strategy, engine.reversed_strategy,
               engine.ple_first_strategy)
-EVAL = {"multicube": range(1, 8), "zigzag": range(1, 13),
-        "three_rowed": range(1, 7), "two_rowed_dd": range(2, 13)}
+EVAL = {"multicube": range(1, 8), "zigzag": range(1, 21),
+        "three_rowed": range(1, 10), "two_rowed_dd": range(2, 16)}
 # up to the benchmark's recurrence_mv operations (zigzag n=5, three_rowed
 # n=3), plus the one family with a tail and a four-element block
 MULTIVARIATE = {"zigzag": range(1, 6), "three_rowed": range(1, 4),
