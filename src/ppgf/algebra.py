@@ -22,6 +22,8 @@ Rational functions in q alone also have a dense form, a coefficient list
 over a tuple of exponents, with its own arithmetic (the dense_* functions);
 the recurrence's q-iteration runs on it, and so does every rf_sum whose
 parts are all in one variable (gfun_q's sums), read in that variable.
+Both kernels bring a sum's parts to the common denominator with the one
+routine _lift, given the kernel's own "times (1 - m)" and addition.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import operator
 import random
 import re
+from functools import reduce
 from itertools import accumulate, chain, repeat
 
 Q = "q"
@@ -299,6 +302,22 @@ class Polynomial:
 def one_minus(m):
     """The polynomial 1 - m for a non-constant monomial m."""
     return Polynomial({(): 1, m: -1})
+
+
+def _times_one_minus(p, m):
+    """p * (1 - m) for a non-constant monomial m: p's terms, each minus
+    its product with m, without the generic product's pass over 1."""
+    out = dict(p.terms)
+    for mo, c in p.terms.items():
+        mo = mono_mul(mo, m)
+        s = out.get(mo, 0) - c
+        if s:
+            out[mo] = s
+        else:
+            del out[mo]
+    prod = Polynomial.__new__(Polynomial)
+    prod.terms = out
+    return prod
 
 
 _PRIME = (1 << 61) - 1
@@ -670,12 +689,14 @@ def rf_sum(terms):
     follows _normalize rule for rule, so the result is the same.
 
     Otherwise each part's numerator N_i is lifted by the factors (1 - m)
-    its denominator lacks, and the lifted sum L is normalized.  Where the
-    parts hold fewer terms than L, a factor m is first tested on them:
-    L's value mod 2^61 - 1 at the point where m = 1 (_point_where_one) is
-    the sum of the N_i there times their lacked factors there.  A nonzero
-    value proves that (1 - m) divides neither L nor any quotient of it,
-    so m is not tried (see _lifted_value); the result is the same.
+    its denominator lacks, the parts together (_lift, which multiplies a
+    factor that several parts lack into their partial sum once), and the
+    lifted sum L is normalized.  Where the parts hold fewer terms than L,
+    a factor m is first tested on them: L's value mod 2^61 - 1 at the
+    point where m = 1 (_point_where_one) is the sum of the N_i there
+    times their lacked factors there.  A nonzero value proves that
+    (1 - m) divides neither L nor any quotient of it, so m is not tried
+    (see _lifted_value); the result is the same.
     """
     terms = list(terms)
     if not terms:
@@ -693,7 +714,6 @@ def rf_sum(terms):
         for m, k in seen.items():
             if common.get(m, 0) < k:
                 common[m] = k
-    num = Polynomial.zero()
     parts = []
     for f in terms:
         have = {}
@@ -701,11 +721,8 @@ def rf_sum(terms):
             have[m] = have.get(m, 0) + 1
         lack = [m for m, k in common.items()
                 for _ in range(k - have.get(m, 0))]
-        part = f.num
-        for m in lack:
-            part = part * one_minus(m)
-        num = num + part
         parts.append((f.num, lack))
+    num = _lift(parts, _times_one_minus, operator.add)
     den = []
     for m, k in common.items():
         den.extend([m] * k)
@@ -713,6 +730,43 @@ def rf_sum(terms):
     small = sum(len(p.terms) for p, _ in parts) < len(num.terms)
     f._normalize(_ruled_out_on(parts) if small else None)
     return f
+
+
+def _lift(parts, times, add):
+    """Sum of num * prod of (1 - m) over m in lack, for (num, lack) pairs,
+    on either kernel: times(num, m) is num * (1 - m) and add(a, b) is
+    a + b (dense_mul_one_minus and _dense_add for dense values,
+    _times_one_minus and + for Polynomials).  No argument is changed.
+
+    The factor lacked by the most parts multiplies their partial sum once,
+    with one copy taken out of what each of them lacks; that repeats on
+    the other parts until no factor is shared, and the rest are multiplied
+    one by one.  Ties go to the factor met first in the parts' order, so
+    the arithmetic done does not depend on hash order.
+    """
+    pieces = []
+    while len(parts) > 1:
+        shared = {}
+        for _, lack in parts:
+            for m in dict.fromkeys(lack):
+                shared[m] = shared.get(m, 0) + 1
+        m = max(shared, key=shared.get, default=None)
+        if m is None or shared[m] < 2:
+            break
+        inner, rest = [], []
+        for num, lack in parts:
+            if m in lack:
+                i = lack.index(m)
+                inner.append((num, lack[:i] + lack[i + 1:]))
+            else:
+                rest.append((num, lack))
+        pieces.append(times(_lift(inner, times, add), m))
+        parts = rest
+    for num, lack in parts:
+        for m in lack:
+            num = times(num, m)
+        pieces.append(num)
+    return reduce(add, pieces)
 
 
 def _lifted_value(parts, point):
@@ -933,40 +987,10 @@ def _minus(a, b):
     return out
 
 
-def _lift(parts):
-    """Sum of num * prod of (1 - q^k) over k in lack, for (num, lack) pairs.
-
-    The k lacked by the most parts multiplies their partial sum once, with
-    one k taken out of what each of them lacks; that repeats on the other
-    parts until no k is shared, and the rest are multiplied one by one.
-    """
-    total = []
-    while len(parts) > 1:
-        shared = {}
-        for _, lack in parts:
-            for k in set(lack):
-                shared[k] = shared.get(k, 0) + 1
-        k = max(shared, key=shared.get, default=0)
-        if shared.get(k, 0) < 2:
-            break
-        inner, rest = [], []
-        for num, lack in parts:
-            if k in lack:
-                i = lack.index(k)
-                inner.append((num, lack[:i] + lack[i + 1:]))
-            else:
-                rest.append((num, lack))
-        total = _dense_add(total, dense_mul_one_minus(_lift(inner), k))
-        parts = rest
-    for num, lack in parts:
-        for k in lack:
-            num = dense_mul_one_minus(num, k)
-        total = _dense_add(total, num)
-    return total
-
-
 def dense_sum(values):
-    """Sum of dense values over the least common denominator, as rf_sum."""
+    """Sum of dense values over the least common denominator, as rf_sum:
+    the parts are lifted together by _lift on the dense operations, and
+    the sum is normalized by dense_normalize."""
     values = list(values)
     if not values:
         return [], ()
@@ -975,7 +999,8 @@ def dense_sum(values):
     common = []
     for _, den in values:
         common = sorted(common + _minus(den, common))
-    total = _lift([(num, _minus(common, den)) for num, den in values])
+    total = _lift([(num, _minus(common, den)) for num, den in values],
+                  dense_mul_one_minus, _dense_add)
     return dense_normalize(_trim(total), common)
 
 

@@ -30,11 +30,16 @@ def _read_poset_file(path):
 
 
 def _reject_ignored(args, reads_file):
-    """Refuse a poset file or a --block that the command would ignore."""
+    """Refuse a poset file, a --block or an --n that the command would
+    ignore: --n has no meaning for a poset file, for the one diamond, or
+    for the recurrence system, which holds for every n."""
     if args.poset and (args.family or not reads_file):
         raise PosetError("%s would ignore the poset file" % args.command)
     if args.block and args.family != "rpower" and (reads_file or args.family):
         raise PosetError("--block is read only with --family rpower")
+    if args.n is not None and (args.poset or args.family == "diamond"
+                               or args.command == "recurrence"):
+        raise PosetError("%s would ignore --n" % args.command)
 
 
 def _input_poset(args):

@@ -64,8 +64,13 @@ def _check_binding(monos):
 # -- strategies: poset -> ("delete", element) | ("ple", antichain) | None --
 
 def _smallest_pair(p, reverse=False):
-    pairs = sorted(map(sorted, p.antichains_of_size(2)), reverse=reverse)
-    return tuple(pairs[0]) if pairs else None
+    """The lexicographically first 2-antichain as a sorted pair (the last
+    with reverse), or None: antichains_of_size yields them in that order."""
+    pair = None
+    for pair in p.antichains_of_size(2):
+        if not reverse:
+            break
+    return tuple(sorted(pair)) if pair else None
 
 
 def default_strategy(p):

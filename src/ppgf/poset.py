@@ -182,12 +182,29 @@ class Poset:
         return Poset(above.keys(), above), glued
 
     def antichains_of_size(self, k):
-        """All antichains of cardinality exactly k, lexicographically."""
+        """All antichains of cardinality exactly k, lexicographically.
+
+        A partial antichain grows only from the later elements that are
+        incomparable to every chosen one, and a branch stops once too few
+        of those are left to reach k.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
-        for combo in combinations(self.elements, k):
-            if all(not self.comparable(x, y) for x, y in combinations(combo, 2)):
-                yield frozenset(combo)
+        yield from self._grow_antichains((), self.elements, k)
+
+    def _grow_antichains(self, chosen, free, k):
+        # free: the elements after the last chosen one that are
+        # incomparable to every chosen one, in order
+        need = k - len(chosen)
+        for i in range(len(free) - need + 1):
+            e = free[i]
+            if need == 1:
+                yield frozenset(chosen + (e,))
+                continue
+            above, below = self._above[e], self._below[e]
+            rest = [f for f in free[i + 1:] if f not in above and f not in below]
+            if len(rest) >= need - 1:
+                yield from self._grow_antichains(chosen + (e,), rest, k)
 
     def antichain_count(self):
         """Number of nonempty antichains (brute force; small posets only)."""

@@ -1,3 +1,4 @@
+import operator
 from unittest import mock
 
 import pytest
@@ -457,6 +458,19 @@ def test_rf_sum_stays_sparse_where_the_dense_form_does_not_fit(monkeypatch):
     assert f + f == RationalFunction(f.num * 2, f.den)
 
 
+def test_rf_sum_multiplies_a_factor_its_parts_share_once(monkeypatch):
+    # the three parts over (1 - x1) lack (1 - x4): their sum is multiplied
+    # by it once, and the last part by (1 - x1)
+    parts = [R("1/(1-x1)"), R("x2/(1-x1)"), R("x3/(1-x1)"), R("1/(1-x4)")]
+    calls = []
+    times = algebra._times_one_minus
+    monkeypatch.setattr(algebra, "_times_one_minus",
+                        lambda p, m: calls.append(m) or times(p, m))
+    total = rf_sum(parts)
+    assert calls == [mono_var("x4"), mono_var("x1")]
+    assert total == fully_normalized_sum(parts)
+
+
 def test_keeps_normal_form():
     x = {v: mono_var(v) for v in ("x1", "x2", "y1", "y2")}
     assert keeps_normal_form({"x1": x["y1"], "x2": x["y2"]}, ["x1", "x2"])
@@ -566,6 +580,26 @@ def test_lifted_value_is_the_lifted_sum_at_the_point(data):
         assert algebra._value_at(((m, 1),), point, {}) == 1
         assert (algebra._lifted_value(parts, point)
                 == algebra._value_at(total.terms.items(), point, {}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_lift_matches_lifting_each_part(data):
+    # 2-6 parts over a few shared denominators of FACTORS, which repeat
+    # and share roots, so that parts lack the same factors and are lifted
+    # together, recursively; a numerator may be 0
+    dens = data.draw(st.lists(st.lists(st.sampled_from(FACTORS), max_size=4),
+                              min_size=1, max_size=3))
+    part = st.tuples(st.one_of(st.just(Polynomial.zero()), polynomials()),
+                     st.sampled_from(dens))
+    drawn = data.draw(st.lists(part, min_size=2, max_size=6))
+    common = least_common([den for _, den in drawn])
+    parts = [(num, lacked(den, common)) for num, den in drawn]
+    before = [(dict(num.terms), list(lack)) for num, lack in parts]
+    total = sum((lifted(num, den, common) for num, den in drawn),
+                Polynomial.zero())
+    assert algebra._lift(parts, algebra._times_one_minus, operator.add) == total
+    assert [(num.terms, lack) for num, lack in parts] == before
 
 
 @settings(max_examples=200, deadline=None)

@@ -213,9 +213,14 @@ def test_eval_has_no_depth_limit(capsys, tmp_path, monkeypatch):
     ("gfun", "P", "--family", "chain", "--n", "2"),
     ("qgfun", "P", "--family", "chain", "--n", "2"),
     ("eval", "P", "--family", "zigzag", "--n", "2"),
+    # --n where it has no meaning
+    ("qgfun", "P", "--n", "5"),
+    ("verify", "P", "--n", "3"),
+    ("gfun", "--family", "diamond", "--n", "7"),
+    ("recurrence", "--family", "zigzag", "--n", "4"),
 ])
 def test_ignored_input_is_an_error(capsys, tmp_path, argv):
-    # a poset file or --block the command would not read is refused
+    # a poset file, --block or --n the command would not read is refused
     for name in ("P", "B"):
         (tmp_path / name).write_text("elements: 1 2\ncover: 1 2\nrel: 2 1\n")
     argv = [str(tmp_path / a) if a in ("P", "B") else a for a in argv]

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -132,6 +133,22 @@ def test_antichains_of_size_chain():
 def test_antichains_of_size_free():
     got = list(antichain(3).antichains_of_size(2))
     assert got == [frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})]
+
+
+def test_antichains_of_size_match_the_filtered_combinations():
+    # seeded random posets of up to 10 elements on spaced ids, sparse to
+    # dense, so that antichains of every size occur; the order follows a
+    # shuffle of the ids, so a later id may lie below an earlier one
+    rng = random.Random(20251019)
+    for _ in range(150):
+        ids = rng.sample(range(1, 31), rng.randint(0, 10))
+        prob = rng.choice((0.05, 0.2, 0.4, 0.7))
+        p = Poset.build(ids, [(x, y) for x, y in combinations(ids, 2)
+                              if rng.random() < prob])
+        for k in range(1, len(ids) + 2):
+            want = [frozenset(c) for c in combinations(p.elements, k)
+                    if not any(p.comparable(x, y) for x, y in combinations(c, 2))]
+            assert list(p.antichains_of_size(k)) == want
 
 
 def test_antichain_count_small():
