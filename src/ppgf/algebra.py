@@ -489,7 +489,7 @@ class RationalFunction:
     to be normal and tries only the factors that can still cancel.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_variables")
 
     def __init__(self, num, den=(), normalize=True):
         if isinstance(num, int):
@@ -500,6 +500,7 @@ class RationalFunction:
                 raise DenominatorCollapse("denominator factor (1 - 1)")
         self.num = num
         self.den = den
+        self._variables = None
         if normalize:
             self._normalize()
 
@@ -622,11 +623,16 @@ class RationalFunction:
         return out
 
     def variables(self):
-        vs = self.num.variables()
-        for m in self.den:
-            for v, _ in m:
-                vs.add(v)
-        return vs
+        """The variables of the numerator and the denominator, as a
+        frozenset found on the first call: engine.gfun substitutes into
+        each stored value on every memo hit."""
+        if self._variables is None:
+            vs = self.num.variables()
+            for m in self.den:
+                for v, _ in m:
+                    vs.add(v)
+            self._variables = frozenset(vs)
+        return self._variables
 
     def __str__(self):
         num = str(self.num)

@@ -26,13 +26,15 @@ apply_deletion and apply_ple evaluate a right-hand side through a
 recursion recur(child, child_binding); gfun and gfun_at are that
 recursion under two memo policies, and the recurrence module's prefix
 elimination walks the same right-hand sides with a coefficient.  gfun
-keys on cover structure, so branches that build one structure under
-different bindings share the work.  Its stored value is substituted into
+keys on Poset.key, the up-set bitmasks over the ranks of the element ids,
+which is equal for two posets exactly when relabeling one by rank gives
+the other; so branches that build one structure under different
+bindings share the work.  Its stored value is substituted into
 by RationalFunction.substitute, which renormalizes only where the binding
 may not keep the normal form; every binding reached from distinct
 variables keeps it, since deletion and gluing only merge monomials, so
 each source variable stays in exactly one of them.
-gfun_at keys on structure plus monomials and keeps every value in the
+gfun_at keys on Poset.key plus monomials and keeps every value in the
 target variables, which is exponentially smaller when elements share a
 variable (gfun_q's all-q input).  Each is the faster one somewhere: on
 the first 100 posets of the acceptance corpus under all three
@@ -173,23 +175,19 @@ def _step(q, monos, strategy, recur):
     return apply(q, arg, monos, recur)
 
 
-def _shape(q):
-    """Cover structure with the elements relabeled by rank."""
-    index = {e: i for i, e in enumerate(q.elements)}
-    return len(q.elements), tuple(sorted((index[x], index[y]) for x, y in q.covers))
-
-
 # -- the two recursions ----------------------------------------------------
 
 def gfun(p, monos=None, strategy=default_strategy, memo=None):
     """Generating function of the P-partitions of p at x_a := monos[a]
-    (by default the variable x<a>), memoized on cover structure.
+    (by default the variable x<a>), memoized on Poset.key.
 
-    The memo stores, per cover structure, the value in positional
+    The memo stores, per key, the value in positional
     variables v0, v1, ...; the caller's monomials are substituted into it
     on return.  This is sound because every identity used is a
     multiplicative substitution.  RationalFunction.substitute decides
-    whether the result needs renormalizing (algebra.keeps_normal_form).
+    whether the result needs renormalizing (algebra.keeps_normal_form)
+    from the stored value's variables, which the value keeps after the
+    first lookup.
     """
     if monos is None:
         monos = default_binding(p)
@@ -204,11 +202,10 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
         return template(q).substitute(sub)
 
     def template(q):
-        key = _shape(q)
-        f = memo.get(key)
+        f = memo.get(q.key)
         if f is None:
             canon = {e: mono_var("v%d" % i) for i, e in enumerate(q.elements)}
-            f = memo[key] = _step(q, canon, strategy, go)
+            f = memo[q.key] = _step(q, canon, strategy, go)
         return f
 
     return go(p, monos)
@@ -216,7 +213,7 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
 
 def gfun_at(p, monos, strategy=default_strategy, memo=None):
     """f_P evaluated at x_a := monos[a], each value a non-constant monomial,
-    memoized on cover structure plus monomials.
+    memoized on Poset.key plus monomials.
 
     Equal to gfun(p, monos), but keeps every intermediate value in the
     target variables, which is exponentially smaller when many elements
@@ -229,7 +226,7 @@ def gfun_at(p, monos, strategy=default_strategy, memo=None):
     def go(q, qmonos):
         if not q.elements:
             return RationalFunction.one()
-        key = (_shape(q), tuple(qmonos[e] for e in q.elements))
+        key = (q.key, tuple(qmonos[e] for e in q.elements))
         f = memo.get(key)
         if f is None:
             f = memo[key] = _step(q, qmonos, strategy, go)

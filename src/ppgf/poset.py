@@ -3,16 +3,21 @@ generating-function engine needs: deletion of an element, gluing an
 antichain subset (partially linear extension), and the partially ordinal
 sum of two posets along a relation, with n-fold powers.
 
-A poset is immutable after construction and stores its strict order as
-up-sets.  Only Poset.build validates and closes a relation, so any
-acyclic relation is accepted as input; deletion, gluing and the ordinal
-sums write the up-sets of their result directly.  Every poset derives its
-covers from its up-sets: the upper covers of x are the elements above x
-that are above nothing else above x.
+A poset is immutable after construction.  Its element ids are kept
+sorted, and an element's rank is its position among them; the strict
+order is stored as one up-set bitmask per element, bit j of key[i] set
+when elements[i] < elements[j].  key identifies the poset up to a
+relabeling that keeps the order of the ids, so the engine's memo keys on
+it.  Down-sets and upper/lower covers are bitmasks too: the upper covers
+of x are the elements above x that are above nothing else above x.
+Only Poset.build validates and closes a relation, so any acyclic
+relation is accepted as input; deletion and gluing write the masks of
+their result directly, and the public queries take and return ids.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 
@@ -63,27 +68,80 @@ def _closure_from_relation(elements, pairs):
     return above
 
 
-class Poset:
-    """Finite labeled poset; elements are opaque integer ids."""
+def _ranks(mask):
+    """Ranks of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    __slots__ = ("elements", "covers", "_above", "_below", "_upper", "_lower",
-                 "name")
+
+def _mask(ranks):
+    m = 0
+    for r in ranks:
+        m |= 1 << r
+    return m
+
+
+def _drop(masks, r):
+    """masks without entry r, each without bit r and the bits above it
+    moved down by one."""
+    low = (1 << r) - 1
+    high = ~low
+    out = [m & low | m >> 1 & high for m in masks]
+    del out[r]
+    return out
+
+
+def _derive(up):
+    """Down-set, upper-cover and lower-cover masks of the up-set masks up,
+    and whether up is a strict order (irreflexive and transitive)."""
+    n = len(up)
+    down = [0] * n
+    lower = [0] * n
+    upper = []
+    bad = 0
+    for i, u in enumerate(up):
+        bit = 1 << i
+        reach = 0
+        m = u
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            reach |= up[j]
+            down[j] |= bit
+            m ^= low
+        bad |= reach & ~u | u & bit
+        cover = u & ~reach
+        upper.append(cover)
+        while cover:
+            low = cover & -cover
+            lower[low.bit_length() - 1] |= bit
+            cover ^= low
+    return down, upper, lower, not bad
+
+
+def _made(elements, up, down, upper, lower):
+    p = Poset.__new__(Poset)
+    p.elements, p.key, p._down, p._upper, p._lower = elements, up, down, upper, lower
+    p.name = None
+    return p
+
+
+class Poset:
+    """Finite labeled poset; elements are opaque integer ids.
+
+    key is the tuple of up-set masks, hashable and equal between two
+    posets exactly when relabeling one by rank gives the other.
+    """
+
+    __slots__ = ("elements", "key", "_down", "_upper", "_lower", "name")
 
     def __init__(self, elements, above, name=None):
         self.elements = tuple(sorted(elements))
-        self._above = {e: frozenset(above[e]) for e in self.elements}
-        below = {e: set() for e in self.elements}
-        lower = {e: set() for e in self.elements}
-        self._upper = {}
-        for x, up in self._above.items():
-            for y in up:
-                below[y].add(x)
-            upper = self._upper[x] = up.difference(*(self._above[z] for z in up))
-            for y in upper:
-                lower[y].add(x)
-        self._below = {e: frozenset(s) for e, s in below.items()}
-        self._lower = {e: frozenset(s) for e, s in lower.items()}
-        self.covers = frozenset((x, y) for x, up in self._upper.items() for y in up)
+        rank = {e: i for i, e in enumerate(self.elements)}
+        self.key = tuple(_mask(rank[y] for y in above[e]) for e in self.elements)
+        self._down, self._upper, self._lower, _ = _derive(self.key)
         self.name = name
 
     @classmethod
@@ -97,63 +155,99 @@ class Poset:
     def empty(cls):
         return cls.build((), ())
 
+    def _rank(self, e):
+        es = self.elements
+        i = bisect_left(es, e)
+        if i == len(es) or es[i] != e:
+            raise UnknownElement("no element %r" % (e,))
+        return i
+
+    def _ids(self, mask):
+        es = self.elements
+        return [es[j] for j in _ranks(mask)]
+
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, e):
-        return e in self._above
+        es = self.elements
+        i = bisect_left(es, e)
+        return i < len(es) and es[i] == e
 
     def __eq__(self, other):
         return (isinstance(other, Poset) and self.elements == other.elements
-                and self._above == other._above)
+                and self.key == other.key)
 
     def __hash__(self):
-        return hash((self.elements, tuple(sorted((e, tuple(sorted(s)))
-                                                 for e, s in self._above.items()))))
+        return hash((self.elements, self.key))
 
     def __repr__(self):
         covs = " ".join("%s<%s" % c for c in sorted(self.covers))
         return "Poset({%s}%s)" % (" ".join(map(str, self.elements)),
                                   (" " + covs) if covs else "")
 
+    @property
+    def covers(self):
+        return frozenset((x, y) for x, c in zip(self.elements, self._upper)
+                         for y in self._ids(c))
+
     def lt(self, x, y):
-        return y in self._above[x]
+        return bool(self.key[self._rank(x)] >> self._rank(y) & 1)
 
     def above(self, x):
-        return self._above[x]
+        return frozenset(self._ids(self.key[self._rank(x)]))
 
     def below(self, x):
-        return self._below[x]
+        return frozenset(self._ids(self._down[self._rank(x)]))
 
     def comparable(self, x, y):
-        return x == y or self.lt(x, y) or self.lt(y, x)
+        i, j = self._rank(x), self._rank(y)
+        return i == j or bool((self.key[i] | self._down[i]) >> j & 1)
 
     def upper_covers(self, e):
-        return sorted(self._upper[e])
+        return self._ids(self._upper[self._rank(e)])
 
     def lower_covers(self, e):
-        return sorted(self._lower[e])
+        return self._ids(self._lower[self._rank(e)])
 
     # -- transformations ---------------------------------------------------
 
     def removable_elements(self):
         """Elements with at most one lower and at most one upper cover."""
-        return {e for e in self.elements
-                if len(self._lower[e]) <= 1 and len(self._upper[e]) <= 1}
+        return {e for e, lo, hi in zip(self.elements, self._lower, self._upper)
+                if not lo & lo - 1 and not hi & hi - 1}
 
     def delete(self, b):
-        """Induced subposet on the other elements."""
-        if b not in self:
-            raise UnknownElement("no element %r" % (b,))
-        above = {e: up - {b} for e, up in self._above.items() if e != b}
-        return Poset(above.keys(), above)
+        """Induced subposet on the other elements.
+
+        Only the covers next to b change: a lower cover x of b gains the
+        upper covers of b that are above no other upper cover of x, and
+        an upper cover y of b the lower covers of b below no other lower
+        cover of y.
+        """
+        r = self._rank(b)
+        bit = 1 << r
+        up, down = self.key, self._down
+        upper, lower = self._upper[:], self._lower[:]
+        for covers, near, far, cone in ((upper, lower[r], upper[r], up),
+                                        (lower, upper[r], lower[r], down)):
+            for x in _ranks(near):
+                rest = covers[x] & ~bit
+                reach = 0
+                for z in _ranks(rest):
+                    reach |= cone[z]
+                covers[x] = rest | far & ~reach
+        return _made(self.elements[:r] + self.elements[r + 1:],
+                     tuple(_drop(up, r)), _drop(down, r),
+                     _drop(upper, r), _drop(lower, r))
 
     def ple(self, m_set, antichain):
         """Glue the elements of m_set (a nonempty subset of the antichain)
         into one fresh element that covers the rest of the antichain.
 
         Returns (poset, glued_id); the caller owns the substitution
-        x_glued -> product of the glued variables.
+        x_glued -> product of the glued variables.  The glued id is one
+        more than the largest, so it takes the last rank.
         """
         m_set = frozenset(m_set)
         a_set = frozenset(antichain)
@@ -161,25 +255,32 @@ class Poset:
             raise EmptySubset("m_set must be nonempty")
         if not m_set <= a_set:
             raise SubsetNotContained("m_set must be a subset of the antichain")
-        for e in a_set:
-            if e not in self:
-                raise UnknownElement("no element %r" % (e,))
-        for x, y in combinations(sorted(a_set), 2):
-            if self.comparable(x, y):
-                raise NotAntichain("%r and %r are comparable" % (x, y))
-        glued = max(self.elements) + 1 if self.elements else 1
-        below_a = set().union(a_set - m_set, *(self._below[a] for a in a_set))
-        above_m = frozenset().union(*(self._above[u] for u in m_set))
-        above = {x: up - m_set for x, up in self._above.items() if x not in m_set}
-        for x in below_a:
-            above[x] |= above_m | {glued}
-        above[glued] = above_m
-        # the gluing conditions define the order directly: check that it is
-        # irreflexive and transitive (so also antisymmetric)
-        assert all(x not in up and all(above[y] <= up for y in up)
-                   for x, up in above.items()), \
-            "gluing produced a non-transitive relation"
-        return Poset(above.keys(), above), glued
+        ranks = {e: self._rank(e) for e in sorted(a_set)}
+        up, down = self.key, self._down
+        a_mask = _mask(ranks.values())
+        if any((up[i] | down[i]) & a_mask for i in ranks.values()):
+            x, y = next(c for c in combinations(ranks, 2) if self.comparable(*c))
+            raise NotAntichain("%r and %r are comparable" % (x, y))
+        m_ranks = [ranks[e] for e in sorted(m_set)]
+        above_m = 0
+        for i in m_ranks:
+            above_m |= up[i]
+        below_a = a_mask & ~_mask(m_ranks)
+        for i in ranks.values():
+            below_a |= down[i]
+        # the gluing conditions define the order directly, with the glued
+        # element at rank n until the bits of m_set are dropped
+        join = above_m | 1 << len(up)
+        glued = [u | join if below_a >> i & 1 else u for i, u in enumerate(up)]
+        glued.append(above_m)
+        for r in reversed(m_ranks):
+            glued = _drop(glued, r)
+        # check that it is irreflexive and transitive (so also antisymmetric)
+        down, upper, lower, is_order = _derive(glued)
+        assert is_order, "gluing produced a non-transitive relation"
+        g = self.elements[-1] + 1
+        elements = tuple(e for e in self.elements if e not in m_set) + (g,)
+        return _made(elements, tuple(glued), down, upper, lower), g
 
     def antichains_of_size(self, k):
         """All antichains of cardinality exactly k, lexicographically.
@@ -190,39 +291,38 @@ class Poset:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        yield from self._grow_antichains((), self.elements, k)
+        yield from self._grow_antichains((), (1 << len(self.elements)) - 1, k)
 
     def _grow_antichains(self, chosen, free, k):
-        # free: the elements after the last chosen one that are
-        # incomparable to every chosen one, in order
+        # free: the mask of the ranks after the last chosen one that are
+        # incomparable to every chosen one
         need = k - len(chosen)
-        for i in range(len(free) - need + 1):
-            e = free[i]
+        es, up, down = self.elements, self.key, self._down
+        while free.bit_count() >= need:
+            low = free & -free
+            i = low.bit_length() - 1
+            free ^= low
             if need == 1:
-                yield frozenset(chosen + (e,))
+                yield frozenset(chosen + (es[i],))
                 continue
-            above, below = self._above[e], self._below[e]
-            rest = [f for f in free[i + 1:] if f not in above and f not in below]
-            if len(rest) >= need - 1:
-                yield from self._grow_antichains(chosen + (e,), rest, k)
+            rest = free & ~(up[i] | down[i])
+            if rest.bit_count() >= need - 1:
+                yield from self._grow_antichains(chosen + (es[i],), rest, k)
 
     def antichain_count(self):
         """Number of nonempty antichains (brute force; small posets only)."""
-        es = self.elements
-        count = 0
+        up, down = self.key, self._down
 
-        def extend(start, chosen):
-            nonlocal count
-            for i in range(start, len(es)):
-                e = es[i]
-                if all(not self.comparable(e, c) for c in chosen):
-                    count += 1
-                    chosen.append(e)
-                    extend(i + 1, chosen)
-                    chosen.pop()
+        def count(free):
+            total = 0
+            while free:
+                low = free & -free
+                i = low.bit_length() - 1
+                free ^= low
+                total += 1 + count(free & ~(up[i] | down[i]))
+            return total
 
-        extend(0, [])
-        return count
+        return count((1 << len(up)) - 1)
 
 
 def rplus_offset(p, q):
@@ -296,7 +396,11 @@ def parse_poset_text(text):
         fields = rest.split()
         try:
             if key == "elements":
+                if elements is not None:
+                    raise ValueError("a second 'elements:' line")
                 elements = [int(f) for f in fields]
+                if len(set(elements)) < len(elements):
+                    raise ValueError("repeated element in %r" % rest.strip())
             elif key == "cover":
                 x, y = (int(f) for f in fields)
                 covers.append((x, y))

@@ -21,16 +21,15 @@ def posets(draw, max_size=7):
 def recursion_edges(p, strategy=engine.default_strategy):
     """(parent, child) nonempty-antichain counts on every edge of gfun's
     recursion from p: each cover structure is expanded once, as gfun's
-    memo does, through the identities' right-hand sides."""
+    memo does (on Poset.key), through the identities' right-hand sides."""
     edges = []
     seen = set()
     todo = [p]
     while todo:
         q = todo.pop()
-        key = engine._shape(q)
-        if not q.elements or key in seen:
+        if not q.elements or q.key in seen:
             continue
-        seen.add(key)
+        seen.add(q.key)
         kind, arg = strategy(q)
         rhs = engine.deletion_rhs if kind == "delete" else engine.gluing_rhs
         parent = q.antichain_count()

@@ -182,6 +182,17 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("elements: 1 2 2\n", "line 1: repeated element in '1 2 2'"),
+    ("elements: 1 2\nelements: 3\n", "line 2: a second 'elements:' line"),
+], ids=["repeated_id", "second_line"])
+def test_bad_elements_line_exit_code(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.poset"
+    path.write_text(text)
+    code, out, err = run(capsys, "gfun", str(path))
+    assert code == 2 and out == "" and err == "error: %s\n" % message
+
+
 def test_too_deep_for_the_recursion_exit_code(capsys):
     # the engine recurses once per element, so a 400-element antichain is
     # past the default recursion limit

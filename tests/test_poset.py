@@ -361,3 +361,129 @@ def test_parse_errors_carry_line_numbers():
         parse_poset_text("elements: 1 2\ncover: 1\n")
     with pytest.raises(PosetError, match="elements"):
         parse_poset_text("cover: 1 2\n")
+
+
+# -- the bitmask poset against a plain set-based reference ------------------------
+
+class _SetPoset:
+    """Reference poset: the elements and the strict order as a set of
+    pairs, closed by Warshall's algorithm, every query by definition."""
+
+    def __init__(self, elements, pairs):
+        self.elements = tuple(sorted(elements))
+        less = set(pairs)
+        for z in self.elements:
+            less |= {(x, y) for x, z1 in less if z1 == z
+                     for z2, y in less if z2 == z}
+        self.less = less
+
+    def above(self, x):
+        return frozenset(y for a, y in self.less if a == x)
+
+    def below(self, y):
+        return frozenset(x for x, b in self.less if b == y)
+
+    def covers(self):
+        return frozenset((x, y) for x, y in self.less
+                         if not any((x, z) in self.less and (z, y) in self.less
+                                    for z in self.elements))
+
+    def removable(self):
+        covers = self.covers()
+        return {e for e in self.elements
+                if sum(x == e for x, _ in covers) <= 1
+                and sum(y == e for _, y in covers) <= 1}
+
+    def incomparable(self, x, y):
+        return x != y and (x, y) not in self.less and (y, x) not in self.less
+
+    def antichains(self, k):
+        return [frozenset(c) for c in combinations(self.elements, k)
+                if all(self.incomparable(x, y) for x, y in combinations(c, 2))]
+
+    def delete(self, b):
+        return _SetPoset([e for e in self.elements if e != b],
+                         {(x, y) for x, y in self.less if b not in (x, y)})
+
+    def ple(self, m_set, a_set):
+        glued = max(self.elements) + 1
+        keep = [e for e in self.elements if e not in m_set]
+        below_a = {x for x in keep
+                   if x in a_set or any((x, a) in self.less for a in a_set)}
+        above_m = {y for y in keep if any((u, y) in self.less for u in m_set)}
+        pairs = {(x, y) for x, y in self.less if x in keep and y in keep}
+        pairs |= {(x, y) for x in below_a for y in above_m | {glued}}
+        pairs |= {(glued, y) for y in above_m}
+        return _SetPoset(keep + [glued], pairs), glued
+
+    def shape(self):
+        """The cover pairs relabeled by the rank of their ids."""
+        rank = {e: i for i, e in enumerate(self.elements)}
+        return len(self.elements), tuple(sorted((rank[x], rank[y])
+                                                for x, y in self.covers()))
+
+
+def _assert_same(p, ref):
+    es = p.elements
+    assert es == ref.elements
+    assert p == Poset(es, {e: ref.above(e) for e in es})
+    assert {(x, y) for x in es for y in p.above(x)} == ref.less
+    assert p.covers == ref.covers()
+    covers = ref.covers()
+    for e in es:
+        assert p.above(e) == ref.above(e) and p.below(e) == ref.below(e)
+        assert p.upper_covers(e) == sorted(y for x, y in covers if x == e)
+        assert p.lower_covers(e) == sorted(x for x, y in covers if y == e)
+        for f in es:
+            assert p.lt(e, f) == ((e, f) in ref.less)
+            assert p.comparable(e, f) == (not ref.incomparable(e, f))
+    assert p.removable_elements() == ref.removable()
+    for k in range(1, len(es) + 2):
+        assert list(p.antichains_of_size(k)) == ref.antichains(k)
+    assert p.antichain_count() == sum(len(ref.antichains(k))
+                                      for k in range(1, len(es) + 1))
+
+
+@st.composite
+def _shuffled_orders(draw):
+    """Elements on spaced ids, ordered along a shuffle of them, so that a
+    larger id may lie below a smaller one."""
+    ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=7))
+    order = draw(st.permutations(ids))
+    pairs = {(x, y) for i, x in enumerate(order) for y in order[i + 1:]
+             if draw(st.booleans())}
+    return ids, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shuffled_orders(), st.data())
+def test_mask_poset_matches_the_set_reference(start, data):
+    ids, pairs = start
+    p, ref = Poset.build(ids, pairs), _SetPoset(ids, pairs)
+    # order-keeping and order-reversing relabelings of the start
+    up = {e: 3 * e + 7 for e in ids}
+    down = {e: 100 - e for e in ids}
+    seen = [(p, ref)] + [(Poset.build(f.values(), {(f[x], f[y]) for x, y in pairs}),
+                          _SetPoset(f.values(), {(f[x], f[y]) for x, y in pairs}))
+                         for f in (up, down)]
+    _assert_same(p, ref)
+    # a chain of deletions and gluings: the glued id, max + 1, is the
+    # largest but may lie below smaller ids
+    for _ in range(data.draw(st.integers(0, 6))):
+        if not p.elements:
+            break
+        antichains = [a for k in range(2, len(p) + 1) for a in ref.antichains(k)]
+        if antichains and data.draw(st.booleans()):
+            a = sorted(data.draw(st.sampled_from(antichains)))
+            m = data.draw(st.lists(st.sampled_from(a), min_size=1, unique=True))
+            (p, g), (ref, want) = p.ple(m, a), ref.ple(set(m), set(a))
+            assert g == want
+        else:
+            b = data.draw(st.sampled_from(p.elements))
+            p, ref = p.delete(b), ref.delete(b)
+        _assert_same(p, ref)
+        seen.append((p, ref))
+    for a, ref_a in seen:
+        for b, ref_b in seen:
+            assert (a.key == b.key) == (ref_a.shape() == ref_b.shape())
+    assert seen[0][0].key == seen[1][0].key

@@ -10,11 +10,13 @@ comparing the two outputs byte for byte:
 
 ppgf is imported from PYTHONPATH, so the same script serves both trees.
 The posets come from the benchmark's pinned corpora (perfbench/workloads.py).
-The first section prints the poset layer itself: every deletion of a
-removable element and every gluing along a 2-antichain of the first 40
-acceptance-corpus posets.  gfun_q of the first 40 wide posets is printed
-under the default and the reversed strategy, and under ple_first for the
-9 of them with at most 35 nonempty antichains.
+The first section prints the poset layer itself, on the first 40
+acceptance-corpus posets and the first 10 wide posets (10 to 12
+elements): the deletion of every element, and the gluing of every
+nonempty subset of every antichain of two or more elements.  gfun_q of
+the first 40 wide posets is printed under the default and the reversed
+strategy, and under ple_first for the 9 of them with at most 35 nonempty
+antichains.
 The eval disk cache is switched off, so every value is computed.
 """
 
@@ -24,6 +26,7 @@ import contextlib
 import io
 import os
 import sys
+from itertools import combinations
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -54,27 +57,32 @@ def run_cli(argv):
     emit(" ".join(argv), "exit %d: %s" % (rc, out.getvalue()))
 
 
-def poset_layer(posets):
-    """Every deletion and every gluing along a 2-antichain, as text."""
+def poset_layer(label, posets):
+    """Every deletion and every gluing along an antichain of two or more
+    elements, as text."""
     for i, p in enumerate(posets):
-        for b in sorted(p.removable_elements()):
-            emit("delete %d %d" % (i, b), render_poset_text(p.delete(b)))
-        for a in p.antichains_of_size(2):
-            x, y = sorted(a)
-            for m in ((x,), (y,), (x, y)):
-                child, glued = p.ple(m, a)
-                emit("ple %d %s %d %d" % (i, m, x, y),
-                     "glued %d: %s" % (glued, render_poset_text(child)))
+        for b in p.elements:
+            emit("%s delete %d %d" % (label, i, b), render_poset_text(p.delete(b)))
+        for k in range(2, len(p) + 1):
+            for a in p.antichains_of_size(k):
+                members = sorted(a)
+                for r in range(1, k + 1):
+                    for m in combinations(members, r):
+                        child, glued = p.ple(m, a)
+                        emit("%s ple %d %s %s" % (label, i, m, members),
+                             "glued %d: %s" % (glued, render_poset_text(child)))
 
 
 def main():
-    acceptance = list(corpus(Poset, 120, 1, 7, 0.5, CORPUS_SEED))
-    poset_layer(acceptance[:40])
+    acceptance = corpus(Poset, 120, 1, 7, 0.5, CORPUS_SEED)
+    wide = corpus(Poset, 40, 10, 12, 0.35, CORPUS_SEED)
+    poset_layer("acceptance", acceptance[:40])
+    poset_layer("wide", wide[:10])
     for i, p in enumerate(acceptance):
         for s in STRATEGIES:
             emit("gfun %d %s" % (i, s.__name__), engine.gfun(p, strategy=s).dumps())
         emit("gfun_q %d" % i, engine.gfun_q(p).dumps())
-    for i, p in enumerate(corpus(Poset, 40, 10, 12, 0.35, CORPUS_SEED)):
+    for i, p in enumerate(wide):
         emit("wide gfun_q %d" % i, engine.gfun_q(p).dumps())
         # ple_first glues wide antichains, summing up to 2^|A| - 1 parts;
         # posets with more antichains take from 13 s to minutes each on a
