@@ -22,8 +22,12 @@ Rational functions in q alone also have a dense form, a coefficient list
 over a tuple of exponents, with its own arithmetic (the dense_* functions);
 the recurrence's q-iteration runs on it, and so does every rf_sum whose
 parts are all in one variable (gfun_q's sums), read in that variable.
-Both kernels bring a sum's parts to the common denominator with the one
-routine _lift, given the kernel's own "times (1 - m)" and addition.
+Such a sum crosses between the kernels once each way: the pass that
+checks that its parts share one variable also reads them as dense
+values, and the dense result is written back as a normal form with
+its keys and sorted denominator built directly.  Both kernels bring a
+sum's parts to the common denominator with the one routine _lift, given
+the kernel's own "times (1 - m)" and addition.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ import json
 import operator
 import random
 import re
+from bisect import bisect_right
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 
 Q = "q"
 
@@ -583,10 +588,20 @@ class RationalFunction:
     def over(self, m):
         """Divide by (1 - m).  No factor of a normal form divides its
         numerator, nor the numerator over (1 - m), so only (1 - m) is
-        tried."""
-        f = RationalFunction(self.num, self.den + (m,), normalize=False)
-        f._normalize(skip=frozenset(self.den).__contains__)
-        return f
+        tried, and only as _normalize would: when m is not in den already
+        and the numerator's coefficient sum is 0.  Otherwise, or when the
+        division is inexact, m joins the sorted denominator."""
+        if not m:
+            raise DenominatorCollapse("denominator factor (1 - 1)")
+        num, den = self.num, self.den
+        if not num.terms:
+            return _normal(num, ())
+        if m not in den and not sum(num.terms.values()):
+            quot = exact_div(num, m)
+            if quot is not None:
+                return _normal(quot, den)
+        at = bisect_right(den, m)
+        return _normal(num, den[:at] + (m,) + den[at:])
 
     def substitute(self, sub):
         """Simultaneous multiplicative substitution of variables by monomials.
@@ -669,6 +684,16 @@ class RationalFunction:
         return cls.from_json(json.loads(text))
 
 
+def _normal(num, den):
+    """The RationalFunction num / den of a normal form whose denominator
+    is a sorted tuple already, built without __init__'s sort."""
+    f = RationalFunction.__new__(RationalFunction)
+    f.num = num
+    f.den = den
+    f._variables = None
+    return f
+
+
 def _trunc_mul(a, b, bound):
     out = {}
     for ma, ca in a.terms.items():
@@ -691,8 +716,9 @@ def rf_sum(terms):
     """Sum of rational functions over the least common factored denominator.
 
     When every part is in one variable v, with no negative exponent, the
-    sum runs on the dense kernel in v (dense_sum), whose normalization
-    follows _normalize rule for rule, so the result is the same.
+    parts are read as dense values in v (_dense_parts) and the sum runs
+    on the dense kernel (dense_sum), whose normalization follows
+    _normalize rule for rule, so the result is the same.
 
     Otherwise each part's numerator N_i is lifted by the factors (1 - m)
     its denominator lacks, the parts together (_lift, which multiplies a
@@ -709,9 +735,10 @@ def rf_sum(terms):
         return RationalFunction.zero()
     if len(terms) == 1:
         return terms[0]
-    v = _sole_variable(terms)
-    if v is not None:
-        return dense_to_rf(dense_sum([to_dense(f, {}) for f in terms]), v)
+    dense = _dense_parts(terms)
+    if dense is not None:
+        values, v = dense
+        return dense_to_rf(dense_sum(values), v)
     common = {}
     for f in terms:
         seen = {}
@@ -789,19 +816,48 @@ def _lifted_value(parts, point):
     return total % _PRIME
 
 
-def _sole_variable(terms):
-    """The one variable of rational functions that have no other and no
-    negative exponent (Q when they have none at all), else None."""
-    vs = set()
+def _dense_parts(terms):
+    """(values, v): rational functions in the one variable v as dense
+    values in v, read in one pass over their terms (v is Q when they have
+    no variable).  None at the first monomial in two variables, in a
+    second variable or with a negative exponent.
+
+    A RationalFunction keeps its denominator sorted, which in one
+    variable is ascending k, so each part's k are read in order.
+    """
+    v = None
+    values = []
     for f in terms:
-        for mo in chain(f.num.terms, f.den):
-            for u, e in mo:
-                if e < 0:
+        coeffs = []
+        for mo, c in f.num.terms.items():
+            d = 0
+            if mo:
+                if len(mo) > 1:
                     return None
-                vs.add(u)
-        if len(vs) > 1:
-            return None
-    return vs.pop() if vs else Q
+                (u, d), = mo
+                if u != v:
+                    if v is not None:
+                        return None
+                    v = u
+                if d < 0:
+                    return None
+            if d >= len(coeffs):
+                coeffs.extend(repeat(0, d + 1 - len(coeffs)))
+            coeffs[d] = c
+        den = []
+        for m in f.den:
+            if len(m) > 1:
+                return None
+            (u, k), = m
+            if u != v:
+                if v is not None:
+                    return None
+                v = u
+            if k < 0:
+                return None
+            den.append(k)
+        values.append((coeffs, tuple(den)))
+    return values, v or Q
 
 
 def _ruled_out_on(parts):
@@ -936,8 +992,7 @@ def to_dense(f, exps):
     """f at the point where each variable v is q^exps[v], as a dense value
     before normalization.
 
-    A variable with no entry in exps is q itself (exponent 1), so with
-    exps empty a function in one variable v is read as one in q.  Every
+    A variable with no entry in exps is q itself (exponent 1).  Every
     exponent of the result must be non-negative.
     """
     num = {}
@@ -993,29 +1048,53 @@ def _minus(a, b):
     return out
 
 
+def _join(a, b):
+    """The multiset maximum of two sorted sequences, as a sorted list: each
+    item as many times as the more of a and b holds it."""
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        x, y = a[i], b[j]
+        if x < y:
+            out.append(x)
+            i += 1
+        elif y < x:
+            out.append(y)
+            j += 1
+        else:
+            out.append(x)
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return out
+
+
 def dense_sum(values):
     """Sum of dense values over the least common denominator, as rf_sum:
-    the parts are lifted together by _lift on the dense operations, and
-    the sum is normalized by dense_normalize."""
+    the denominators are joined by one sorted merge each (_join), the
+    parts are lifted together by _lift on the dense operations, and the
+    sum is normalized by dense_normalize."""
     values = list(values)
     if not values:
         return [], ()
     if len(values) == 1:
         return values[0]
-    common = []
-    for _, den in values:
-        common = sorted(common + _minus(den, common))
+    common = reduce(_join, [den for _, den in values])
     total = _lift([(num, _minus(common, den)) for num, den in values],
                   dense_mul_one_minus, _dense_add)
     return dense_normalize(_trim(total), common)
 
 
 def dense_to_rf(value, v=Q):
-    """The RationalFunction in v of a dense value (already normalized)."""
+    """The RationalFunction in v of a dense value (already normalized):
+    the keys ((v, d),) and the denominator, sorted as its k are, are
+    written directly."""
     num, den = value
-    terms = {mono_var(v, d): c for d, c in enumerate(num) if c}
-    return RationalFunction(Polynomial(terms), [mono_var(v, k) for k in den],
-                            normalize=False)
+    p = Polynomial.__new__(Polynomial)
+    p.terms = {((v, d),) if d else (): c for d, c in enumerate(num) if c}
+    return _normal(p, tuple([((v, k),) for k in den]))
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ def gfun_at(p, monos, strategy=default_strategy, memo=None):
     def go(q, qmonos):
         if not q.elements:
             return RationalFunction.one()
-        key = (q.key, tuple(qmonos[e] for e in q.elements))
+        key = (q.key, tuple(map(qmonos.__getitem__, q.elements)))
         f = memo.get(key)
         if f is None:
             f = memo[key] = _step(q, qmonos, strategy, go)

@@ -408,6 +408,8 @@ def parse_poset_text(text):
                 x, y = (int(f) for f in fields)
                 rels.append((x, y))
             elif key == "name":
+                if name is not None:
+                    raise ValueError("a second 'name:' line")
                 name = rest.strip()
             else:
                 raise ValueError("unknown directive %r" % key)

@@ -1,4 +1,5 @@
 import operator
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -602,11 +603,23 @@ def test_sparse_lift_matches_lifting_each_part(data):
     assert [(num.terms, lack) for num, lack in parts] == before
 
 
-@settings(max_examples=200, deadline=None)
-@given(factored(), st.sampled_from(FACTORS))
-def test_over_matches_full_normalization(drawn, m):
-    f = RationalFunction(*drawn)
-    assert f.over(m) == RationalFunction(f.num, f.den + (m,))
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_over_matches_full_normalization(data):
+    # m may be a factor f holds already, and f may be 0; exact_div is
+    # tried on (1 - m) alone, as _normalize tries it, where m is new and
+    # the coefficient sum is 0
+    num, den = data.draw(factored())
+    if data.draw(st.booleans()):
+        num = Polynomial.zero()
+    f = RationalFunction(num, den)
+    m = data.draw(st.sampled_from(f.den + FACTORS))
+    expected = RationalFunction(f.num, f.den + (m,))
+    with pytest.MonkeyPatch.context() as mp:
+        tried = recording_exact_div(mp)
+        assert f.over(m) == expected
+    new = f.num and m not in f.den and not sum(f.num.terms.values())
+    assert tried == ([m] if new else [])
 
 
 @settings(max_examples=200, deadline=None)
@@ -797,6 +810,44 @@ def test_one_variable_sums_run_dense(data, v):
     with mock.patch.object(algebra, "exact_div") as div:
         assert rf_sum(parts) == expected
     assert not div.called
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(("q", "x1")))
+def test_rf_sum_matches_full_normalization_in_and_out_of_one_variable(
+        data, v):
+    # parts in v over DIVISOR_KS, constants, and now and then a part that
+    # brings in a second variable or a negative exponent of v, which keeps
+    # the sum on the sparse kernel; some parts are left unnormalized
+    to_v = {"q": mono_var(v)}
+    one_variable = st.tuples(
+        q_polynomials().map(lambda p: p.substitute(to_v)),
+        st.lists(st.sampled_from(DIVISOR_KS), max_size=4).map(
+            lambda ks: [mono_var(v, k) for k in ks]))
+    constant = st.tuples(st.integers(min_value=-3, max_value=3).map(
+        Polynomial.constant), st.just([]))
+    other = mono_var("x2" if v == "q" else "q", 2)
+    mixed = one_variable.map(
+        lambda part: (part[0] + Polynomial.term(other), part[1]))
+    negative = one_variable.map(
+        lambda part: (part[0] + Polynomial.term(mono_var(v, -1)), part[1]))
+    kind = data.draw(st.sampled_from(("one", "constants", "mixed",
+                                      "negative")))
+    part = {"one": st.one_of(one_variable, constant),
+            "constants": constant,
+            "mixed": st.one_of(one_variable, constant, mixed),
+            "negative": st.one_of(one_variable, constant, negative)}[kind]
+    drawn = data.draw(st.lists(part, min_size=2, max_size=5))
+    parts = [RationalFunction(num, den, normalize=data.draw(st.booleans()))
+             for num, den in drawn]
+    assert rf_sum(parts) == fully_normalized_sum(parts)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), max_size=8),
+       st.lists(st.integers(min_value=1, max_value=6), max_size=8))
+def test_join_is_the_multiset_maximum(a, b):
+    a, b = tuple(sorted(a)), sorted(b)
+    assert algebra._join(a, b) == sorted((Counter(a) | Counter(b)).elements())
 
 
 @settings(max_examples=150, deadline=None)

@@ -185,7 +185,8 @@ def test_input_error_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("elements: 1 2 2\n", "line 1: repeated element in '1 2 2'"),
     ("elements: 1 2\nelements: 3\n", "line 2: a second 'elements:' line"),
-], ids=["repeated_id", "second_line"])
+    ("name: a\nelements: 1 2\nname: b\n", "line 3: a second 'name:' line"),
+], ids=["repeated_id", "second_line", "second_name"])
 def test_bad_elements_line_exit_code(capsys, tmp_path, text, message):
     path = tmp_path / "bad.poset"
     path.write_text(text)

@@ -15,8 +15,8 @@ acceptance-corpus posets and the first 10 wide posets (10 to 12
 elements): the deletion of every element, and the gluing of every
 nonempty subset of every antichain of two or more elements.  gfun_q of
 the first 40 wide posets is printed under the default and the reversed
-strategy, and under ple_first for the 9 of them with at most 35 nonempty
-antichains.
+strategy, and under ple_first for the 14 of them with at most 45
+nonempty antichains.
 The eval disk cache is switched off, so every value is computed.
 """
 
@@ -85,10 +85,10 @@ def main():
     for i, p in enumerate(wide):
         emit("wide gfun_q %d" % i, engine.gfun_q(p).dumps())
         # ple_first glues wide antichains, summing up to 2^|A| - 1 parts;
-        # posets with more antichains take from 13 s to minutes each on a
+        # posets with more antichains take from 2 s to minutes each on a
         # 2-core Xeon
         for s in STRATEGIES[1:]:
-            if s is engine.ple_first_strategy and p.antichain_count() > 35:
+            if s is engine.ple_first_strategy and p.antichain_count() > 45:
                 continue
             emit("wide gfun_q %d %s" % (i, s.__name__),
                  engine.gfun_q(p, strategy=s).dumps())
