@@ -563,7 +563,7 @@ class RationalFunction:
     __hash__ = None
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, normalize=False)
+        return _normal(-self.num, self.den)
 
     def __add__(self, other):
         return rf_sum([self, other])
@@ -577,8 +577,7 @@ class RationalFunction:
             # 1 - m has content 1 and no monomial factor, so by Gauss's
             # lemma it divides c * x^a * N only if it divides N
             num = self.num * other
-            return RationalFunction(num, self.den if num else (),
-                                    normalize=False)
+            return _normal(num, self.den if num else ())
         if isinstance(other, Polynomial):
             return RationalFunction(self.num * other, self.den)
         return RationalFunction(self.num * other.num, self.den + other.den)
@@ -685,8 +684,10 @@ class RationalFunction:
 
 
 def _normal(num, den):
-    """The RationalFunction num / den of a normal form whose denominator
-    is a sorted tuple already, built without __init__'s sort."""
+    """The RationalFunction num / den, den a sorted tuple of non-constant
+    monomials already, built without __init__'s sort and checks.  It is
+    a normal form if the caller knows it is one, or once the caller has
+    run _normalize on it (rf_sum's lifted sum)."""
     f = RationalFunction.__new__(RationalFunction)
     f.num = num
     f.den = den
@@ -720,10 +721,11 @@ def rf_sum(terms):
     on the dense kernel (dense_sum), whose normalization follows
     _normalize rule for rule, so the result is the same.
 
-    Otherwise each part's numerator N_i is lifted by the factors (1 - m)
-    its denominator lacks, the parts together (_lift, which multiplies a
-    factor that several parts lack into their partial sum once), and the
-    lifted sum L is normalized.  Where the parts hold fewer terms than L,
+    Otherwise the sorted denominators are joined into the common one as
+    dense_sum joins them (_join), each part's numerator N_i is lifted by
+    the factors (1 - m) its denominator lacks (_minus), the parts
+    together (_lift, which multiplies a factor that several parts lack
+    into their partial sum once), and the lifted sum L is normalized.  Where the parts hold fewer terms than L,
     a factor m is first tested on them: L's value mod 2^61 - 1 at the
     point where m = 1 (_point_where_one) is the sum of the N_i there
     times their lacked factors there.  A nonzero value proves that
@@ -739,28 +741,10 @@ def rf_sum(terms):
     if dense is not None:
         values, v = dense
         return dense_to_rf(dense_sum(values), v)
-    common = {}
-    for f in terms:
-        seen = {}
-        for m in f.den:
-            seen[m] = seen.get(m, 0) + 1
-        for m, k in seen.items():
-            if common.get(m, 0) < k:
-                common[m] = k
-    parts = []
-    for f in terms:
-        have = {}
-        for m in f.den:
-            have[m] = have.get(m, 0) + 1
-        lack = [m for m, k in common.items()
-                for _ in range(k - have.get(m, 0))]
-        parts.append((f.num, lack))
-    num = _lift(parts, _times_one_minus, operator.add)
-    den = []
-    for m, k in common.items():
-        den.extend([m] * k)
-    f = RationalFunction(num, den, normalize=False)
-    small = sum(len(p.terms) for p, _ in parts) < len(num.terms)
+    common = reduce(_join, [f.den for f in terms])
+    parts = [(f.num, _minus(common, f.den)) for f in terms]
+    f = _normal(_lift(parts, _times_one_minus, operator.add), tuple(common))
+    small = sum(len(p.terms) for p, _ in parts) < len(f.num.terms)
     f._normalize(_ruled_out_on(parts) if small else None)
     return f
 
@@ -774,8 +758,10 @@ def _lift(parts, times, add):
     The factor lacked by the most parts multiplies their partial sum once,
     with one copy taken out of what each of them lacks; that repeats on
     the other parts until no factor is shared, and the rest are multiplied
-    one by one.  Ties go to the factor met first in the parts' order, so
-    the arithmetic done does not depend on hash order.
+    one by one.  Ties go to the factor met first in the parts' order,
+    each part's lacked factors read in their sorted order (both callers
+    take them from _minus), so the arithmetic done does not depend on
+    hash order.
     """
     pieces = []
     while len(parts) > 1:

@@ -158,9 +158,9 @@ def _write_cache(path, stamp, f):
 
 def cmd_eval(args):
     deco, blocks_for = _decomposition(args)
+    if args.n < 1:
+        raise PosetError("n must be >= 1")
     nblocks = blocks_for(args.n)
-    if nblocks < 1:
-        raise PosetError("n too small for this family")
     path = _cache_path(args, nblocks)
     if path:
         stamp = _source_stamp()
@@ -168,10 +168,15 @@ def cmd_eval(args):
         if f is not None:
             _print_rf(f, args.json)
             return 0
-    system = recurrence.discover_states(deco.block, deco.rel,
-                                        deco.seed, deco.seed_rel)
-    f = system.evaluate(nblocks, deco.tail, deco.tail_rel,
-                        q_only=not args.multivariate)
+    if nblocks < 1:
+        # a member with no block copy, as two_rowed_dd's n = 1
+        p = families.build_family(args.family, n=args.n)
+        f = engine.gfun(p) if args.multivariate else engine.gfun_q(p)
+    else:
+        system = recurrence.discover_states(deco.block, deco.rel,
+                                            deco.seed, deco.seed_rel)
+        f = system.evaluate(nblocks, deco.tail, deco.tail_rel,
+                            q_only=not args.multivariate)
     if path:
         try:
             _write_cache(path, stamp, f)

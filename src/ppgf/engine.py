@@ -99,8 +99,10 @@ def reversed_strategy(p):
 def ple_first_strategy(p):
     """Glue along a maximum antichain whenever one of size >= 2 exists,
     deleting only when the poset is a chain.  The wide inclusion-exclusion
-    costs 2^|A| - 1 branches but collapses the poset much faster than the
-    pairwise default, and branches of equal subset size share structure."""
+    costs 2^|A| - 1 branches and is slower than the pairwise default (on
+    the 200-poset acceptance corpus, 2.8 s against 0.5 s on a 2-core
+    Xeon); it is kept as a third path, independent of the other two, for
+    the cross-checks that every strategy gives the same function."""
     if not p.elements:
         return None
     for k in range(len(p.elements), 1, -1):

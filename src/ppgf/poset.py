@@ -358,7 +358,9 @@ def rplus(p, q, rel, name=None):
 
 def power(p, rel, n, name=None):
     """n-fold partially ordinal sum of p with itself along rel, copies
-    numbered bottom-up; copy k's element e gets id e + (k-1)*max(p ids)."""
+    numbered bottom-up; copy k's element e gets id
+    e + (k-1)*(max(p ids) - min(p ids) + 1), so for the block {2, 3}
+    copy 2 is {4, 5}."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rel = set(rel)

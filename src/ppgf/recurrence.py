@@ -20,6 +20,12 @@ poset and binding, with the coefficient times sign * multiplier / (1 - m).
 Placeholders are never deleted or glued; only their monomials absorb
 multipliers, which become the argument substitutions of the recurrence.
 
+Both the workspace and a state's base poset are the same kind of sum as
+X_n, so BlockDecomposition.assemble lays them out with their id maps:
+the workspace is seed (+) block^2 at two copies, the seed being
+a state's chain with its interface as seed_rel, or the family's seed;
+the base poset is chain (+) block (+) tail at one copy.
+
 Coefficients and base values (f at n = 1, one per state) name the first
 block copy p<e>.  Both iterations build level m from level m - 1 alone,
 from the base values up.  The multivariate one keeps that name for copy
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from .algebra import (Q, Polynomial, RationalFunction, dense_eval,
                       dense_product, dense_sum, dense_to_rf, mono_var,
                       mono_mul, mono_str, rf_sum)
-from .poset import Poset, rplus, rplus_offset
+from .poset import Poset
 from . import engine, families
 from .families import BlockDecomposition
 
@@ -93,18 +99,16 @@ class Prefix:
 
 
 def _prefix(block, rel, seed, seed_rel, letter):
-    """Workspace for eliminating seed (+) block ahead of a next copy, the
-    seed's element e bound to the variable <letter><e>."""
-    w1 = rplus(seed, block, set(seed_rel))
-    off1 = rplus_offset(seed, block)
-    off2 = rplus_offset(w1, block)
-    w2 = rplus(w1, block, {(x + off1, y) for x, y in rel})
-    monos = {e: mono_var("%s%d" % (letter, e)) for e in seed.elements}
-    for e in block.elements:
-        monos[e + off1] = mono_var("p%d" % e)
-        monos[e + off2] = mono_var("n%d" % e)
-    ph = {e + off2: e for e in block.elements}
-    return Prefix(w2, ph, monos, len(block.elements))
+    """Workspace for eliminating seed (+) block ahead of a next copy: the
+    family's poset at two copies (BlockDecomposition.assemble), the second
+    copy the placeholders.  The seed's element e is bound to <letter><e>,
+    copy 1's to p<e> and copy 2's to n<e>."""
+    poset, idmap = BlockDecomposition(block, rel, seed, seed_rel).assemble(2)
+    letters = {("seed",): letter, ("copy", 1): "p", ("copy", 2): "n"}
+    monos = {wid: mono_var("%s%d" % (letters[spec[:-1]], spec[-1]))
+             for spec, wid in idmap.items()}
+    ph = {idmap[("copy", 2, e)]: e for e in block.elements}
+    return Prefix(poset, ph, monos, len(block.elements))
 
 
 def state_prefix(block, rel, state):
@@ -135,19 +139,20 @@ def eliminate_prefix(prefix):
 
 
 def _eliminate(poset, monos, coef, prefix, leaves):
-    """Delete the smallest removable real element, else glue the smallest
-    incomparable pair of real elements; each term of the identity's
-    right-hand side carries coef * sign * multiplier / (1 - m)."""
-    reals = [e for e in poset.elements if e not in prefix.ph_to_block]
-    removable = [b for b in reals if len(poset.lower_covers(b)) <= 1
-                 and len(poset.upper_covers(b)) <= 1]
+    """Delete the smallest removable real element, else glue the first
+    incomparable pair of real elements (default_strategy's rule on the
+    real elements); each term of the identity's right-hand side carries
+    coef * sign * multiplier / (1 - m)."""
+    placeholders = prefix.ph_to_block.keys()
+    removable = poset.removable_elements().difference(placeholders)
     if removable:
-        den, terms = engine.deletion_rhs(poset, removable[0], monos)
+        den, terms = engine.deletion_rhs(poset, min(removable), monos)
     else:
-        pair = next(((u, v) for i, u in enumerate(reals) for v in reals[i + 1:]
-                     if not poset.comparable(u, v)), None)
+        pair = next((a for a in poset.antichains_of_size(2)
+                     if a.isdisjoint(placeholders)), None)
         if pair is None:
-            leaves.append(_leaf(poset, set(reals), monos, coef, prefix))
+            reals = set(poset.elements).difference(placeholders)
+            leaves.append(_leaf(poset, reals, monos, coef, prefix))
             return
         den, terms = engine.gluing_rhs(poset, pair, monos)
     for sign, mult, child, child_monos in terms:
@@ -207,38 +212,25 @@ class RecurrenceSystem:
 
     # -- base cases ---------------------------------------------------------
 
-    def state_poset(self, state, tail=None, tail_rel=()):
-        """chain (+interface) block (+tail_rel) tail, with the id map."""
-        k = state.chain_length
-        chain_poset = families.chain(k)
-        off1 = rplus_offset(chain_poset, self.block)
-        out = rplus(chain_poset, self.block, set(state.interface))
-        idmap = {("chain", i): i for i in range(1, k + 1)}
-        for e in self.block.elements:
-            idmap[("copy", 1, e)] = e + off1
-        if tail is not None and tail.elements:
-            offt = rplus_offset(out, tail)
-            out = rplus(out, tail, {(x + off1, y) for x, y in tail_rel})
-            for e in tail.elements:
-                idmap[("tail", e)] = e + offt
-        return out, idmap
-
     def base_value(self, state, tail=None, tail_rel=()):
         """f at n = 1 for a state: the engine's value on chain (+) block
-        (+) tail in chain variables c<i>, block variables p<e> (the names
-        of copy 1 at every level) and tail variables b<e>.  The one value
-        serves both iterations; the q-iteration reads every variable it
-        does not bind, the tail's, as q."""
+        (+) tail, laid out by BlockDecomposition.assemble(1), in chain
+        variables c<i>, block variables p<e> (the names of copy 1 at
+        every level) and tail variables b<e>.  The one value serves both
+        iterations; the q-iteration reads every variable it does not
+        bind, the tail's, as q."""
         key = (state, tail, frozenset(tail_rel))
         hit = self._base_cache.get(key)
         if hit is not None:
             return hit
-        poset, idmap = self.state_poset(state, tail, tail_rel)
-        letter = {"chain": "c", "copy": "p", "tail": "b"}
-        names = {wid: "%s%d" % (letter[spec[0]], spec[-1])
+        chain = families.chain(state.chain_length)
+        poset, idmap = BlockDecomposition(
+            self.block, self.rel, chain, state.interface,
+            tail or Poset.empty(), frozenset(tail_rel)).assemble(1)
+        letter = {"seed": "c", "copy": "p", "tail": "b"}
+        monos = {wid: mono_var("%s%d" % (letter[spec[0]], spec[-1]))
                  for spec, wid in idmap.items()}
-        f = engine.gfun(poset, {e: mono_var(v) for e, v in names.items()})
-        self._base_cache[key] = f
+        f = self._base_cache[key] = engine.gfun(poset, monos)
         return f
 
     # -- iteration ------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from ppgf.algebra import mono_var, parse_rational, rf_eq, RationalFunction
 from ppgf.cli import main
-from ppgf.engine import gfun_q
+from ppgf.engine import gfun, gfun_q
 from ppgf.families import two_rowed_dd
 
 
@@ -83,6 +83,20 @@ def test_eval_two_rowed_uses_family_indexing(capsys):
     code, out, _ = run(capsys, "eval", "--family", "two_rowed_dd", "--n", "4")
     assert code == 0
     assert rf_eq(parse_rational(out.strip()), gfun_q(two_rowed_dd(4)))
+
+
+def test_eval_family_member_with_no_block_copy(capsys, monkeypatch):
+    # two_rowed_dd's n = 1 is chain(2), seed and tail with no copy between
+    monkeypatch.delenv("PPGF_CACHE_DIR", raising=False)
+    code, out, _ = run(capsys, "eval", "--family", "two_rowed_dd", "--n", "1",
+                       "--json")
+    assert code == 0 and out == gfun_q(two_rowed_dd(1)).dumps() + "\n"
+    code, out, _ = run(capsys, "eval", "--family", "two_rowed_dd", "--n", "1",
+                       "--multivariate", "--json")
+    assert code == 0 and out == gfun(two_rowed_dd(1)).dumps() + "\n"
+    for family in ("two_rowed_dd", "zigzag"):
+        code, out, err = run(capsys, "eval", "--family", family, "--n", "0")
+        assert code == 2 and out == "" and err == "error: n must be >= 1\n"
 
 
 def test_eval_cache(capsys, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from ppgf.families import (BlockDecomposition, antichain, chain, diamond,
                            multicube_block, three_rowed_block,
                            two_rowed_dd_block, zigzag_block)
 from ppgf.oracle import verify
-from ppgf.poset import Poset
+from ppgf.poset import Poset, power
 from ppgf.recurrence import (FrontierState, StateBoundExceeded,
                              discover_states, eliminate_prefix,
                              entry_prefix, state_prefix)
@@ -175,6 +175,22 @@ def test_chain_block_ordinal_glue():
     assert t.mult(1) == mono_var("p1")
     for n in (1, 2, 5):
         assert rf_eq(sys_.evaluate(n), gfun_q(chain(n)))
+
+
+# -- blocks whose ids do not start at 1 -----------------------------------------
+
+@pytest.mark.parametrize("block, rel", [
+    (Poset.build({2, 3}, {(3, 2)}), {(3, 2)}),
+    (Poset.build({5, 7, 9}, {(5, 7), (5, 9)}), {(7, 7), (9, 9)}),
+], ids=["2_3", "5_7_9"])
+def test_rpower_block_with_spaced_ids(block, rel):
+    # the copies keep the block's own ids, copy k shifted by
+    # (k - 1) * (max - min + 1), as power lays them out
+    sys_ = discover_states(block, rel)
+    for n in (1, 2, 3):
+        x = power(block, rel, n)
+        assert rf_eq(sys_.evaluate(n), gfun_q(x))
+        assert rf_eq(sys_.evaluate(n, q_only=False), gfun(x))
 
 
 # -- multivariate evaluation ----------------------------------------------------

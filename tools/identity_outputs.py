@@ -16,7 +16,8 @@ elements): the deletion of every element, and the gluing of every
 nonempty subset of every antichain of two or more elements.  gfun_q of
 the first 40 wide posets is printed under the default and the reversed
 strategy, and under ple_first for the 14 of them with at most 45
-nonempty antichains.
+nonempty antichains.  The last section reads a block whose ids do not
+start at 1, {5, 7, 9}, from a temporary file.
 The eval disk cache is switched off, so every value is computed.
 """
 
@@ -26,6 +27,7 @@ import contextlib
 import io
 import os
 import sys
+import tempfile
 from itertools import combinations
 from pathlib import Path
 
@@ -44,17 +46,35 @@ EVAL = {"multicube": range(1, 8), "zigzag": range(1, 21),
 # n=3), plus the one family with a tail and a four-element block
 MULTIVARIATE = {"zigzag": range(1, 6), "three_rowed": range(1, 4),
                 "two_rowed_dd": range(2, 9), "multicube": range(1, 3)}
+# three_rowed's block on the ids 5, 7, 9
+SPACED_BLOCK = "elements: 5 7 9\ncover: 5 7\ncover: 5 9\nrel: 7 7\nrel: 9 9\n"
 
 
 def emit(label, text):
     print("%s\t%s" % (label, text.rstrip("\n").replace("\n", "\\n")))
 
 
-def run_cli(argv):
+def run_cli(argv, label=None):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main(argv)
-    emit(" ".join(argv), "exit %d: %s" % (rc, out.getvalue()))
+    emit(label or " ".join(argv), "exit %d: %s" % (rc, out.getvalue()))
+
+
+def spaced_block():
+    """recurrence and eval --block on SPACED_BLOCK, labeled without the
+    temporary file's path."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "block.poset")
+        with open(path, "w") as fh:
+            fh.write(SPACED_BLOCK)
+        runs = [["recurrence"], ["recurrence", "--json"]]
+        runs += [["eval", "--n", str(n), "--json"] for n in range(1, 6)]
+        runs += [["eval", "--n", str(n), "--multivariate", "--json"]
+                 for n in range(1, 4)]
+        for argv in runs:
+            run_cli(argv + ["--block", path],
+                    " ".join(argv + ["--block", "{5,7,9}"]))
 
 
 def poset_layer(label, posets):
@@ -102,6 +122,7 @@ def main():
     for family in EVAL:
         run_cli(["recurrence", "--family", family])
         run_cli(["recurrence", "--family", family, "--json"])
+    spaced_block()
 
 
 if __name__ == "__main__":
