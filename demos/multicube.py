@@ -30,10 +30,9 @@ def numerator_over_q_factorial(f, n):
     return num
 
 
-deco = multicube_block()
-system = discover_states(deco.block, deco.rel, deco.seed, deco.seed_rel)
+system = discover_states(multicube_block())
 print("states:", len(system.states), "| transition terms:",
-      sum(len(system.transitions[s].terms) for s in system.states))
+      sum(len(system.transitions[s]) for s in system.states))
 
 for n in range(1, 7):
     t0 = time.time()

@@ -12,12 +12,12 @@ for deco, label in ((zigzag_block(), "zigzag"),
                     (three_rowed_block(), "three-rowed"),
                     (two_rowed_dd_block(), "two-rowed double diagonals")):
     print("==", label, "==")
-    system = discover_states(deco.block, deco.rel, deco.seed, deco.seed_rel)
-    print(system.emit_text(deco.tail, deco.tail_rel), end="")
+    system = discover_states(deco)
+    print(system.emit_text(), end="")
 
     # iterating the system must agree with running the engine directly
     for n in (2, 4):
-        value = system.evaluate(n, deco.tail, deco.tail_rel)
+        value = system.evaluate(n)
         poset, _ = deco.assemble(n)
         direct = gfun_q(poset)
         print("n=%d: f(q) = %s" % (n, value))

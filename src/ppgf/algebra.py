@@ -620,12 +620,17 @@ class RationalFunction:
 
     def series(self, bound):
         """Taylor expansion at 0 truncated to total degree <= bound.
-        A negative bound raises ValueError."""
+        A negative bound, or a denominator factor (1 - m) with m of total
+        degree <= 0, whose geometric series no bound truncates, raises
+        ValueError."""
         if bound < 0:
             raise ValueError("negative truncation bound %d" % bound)
         out = self.num.truncate(bound)
         for m in self.den:
             dm = mono_deg(m)
+            if dm <= 0:
+                raise ValueError("factor (1 - %s) of total degree %d has no "
+                                 "series" % (mono_str(m), dm))
             geo = {(): 1}
             mk = m
             k = dm
@@ -863,24 +868,12 @@ def _ruled_out_on(parts):
 
 
 def rf_eq(a, b):
-    """True iff a and b are equal as functions (cross multiplication)."""
+    """True iff a and b are equal as functions: each numerator times the
+    denominator factors the other side has beyond its own."""
     if a.num == b.num and a.den == b.den:
         return True
-    da = {}
-    for m in a.den:
-        da[m] = da.get(m, 0) + 1
-    db = {}
-    for m in b.den:
-        db[m] = db.get(m, 0) + 1
-    left = a.num
-    right = b.num
-    for m in set(da) | set(db):
-        k = db.get(m, 0) - da.get(m, 0)
-        # multiply the side that lacks the factor
-        for _ in range(k):
-            left = left * one_minus(m)
-        for _ in range(-k):
-            right = right * one_minus(m)
+    left = reduce(_times_one_minus, _minus(b.den, a.den), a.num)
+    right = reduce(_times_one_minus, _minus(a.den, b.den), b.num)
     return left == right
 
 

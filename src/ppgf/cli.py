@@ -95,12 +95,11 @@ def cmd_qgfun(args):
 
 def cmd_recurrence(args):
     deco, _ = _decomposition(args)
-    system = recurrence.discover_states(deco.block, deco.rel,
-                                        deco.seed, deco.seed_rel)
+    system = recurrence.discover_states(deco)
     if args.json:
-        print(json.dumps(system.to_json(deco.tail, deco.tail_rel)))
+        print(json.dumps(system.to_json()))
     else:
-        print(system.emit_text(deco.tail, deco.tail_rel), end="")
+        print(system.emit_text(), end="")
     return 0
 
 
@@ -173,10 +172,8 @@ def cmd_eval(args):
         p = families.build_family(args.family, n=args.n)
         f = engine.gfun(p) if args.multivariate else engine.gfun_q(p)
     else:
-        system = recurrence.discover_states(deco.block, deco.rel,
-                                            deco.seed, deco.seed_rel)
-        f = system.evaluate(nblocks, deco.tail, deco.tail_rel,
-                            q_only=not args.multivariate)
+        f = recurrence.discover_states(deco).evaluate(
+            nblocks, q_only=not args.multivariate)
     if path:
         try:
             _write_cache(path, stamp, f)

@@ -20,30 +20,32 @@ poset and binding, with the coefficient times sign * multiplier / (1 - m).
 Placeholders are never deleted or glued; only their monomials absorb
 multipliers, which become the argument substitutions of the recurrence.
 
-Both the workspace and a state's base poset are the same kind of sum as
-X_n, so BlockDecomposition.assemble lays them out with their id maps:
-the workspace is seed (+) block^2 at two copies, the seed being
-a state's chain with its interface as seed_rel, or the family's seed;
-the base poset is chain (+) block (+) tail at one copy.
+A RecurrenceSystem keeps its family's BlockDecomposition whole, and
+every poset it lays out is that family with some pieces swapped by
+dataclasses.replace, then assembled with its id map.  For a state, the
+seed becomes the state's chain with its interface as seed_rel: at one
+copy with the family's tail that is the state's base poset, and at two
+copies with no tail it is the state's workspace.  The entry workspace
+is the family itself at two copies with no tail.
 
 Coefficients and base values (f at n = 1, one per state) name the first
 block copy p<e>.  Both iterations build level m from level m - 1 alone,
-from the base values up.  The multivariate one keeps that name for copy
-1 at every level and names copy j >= 2 p<j>_<e>, so neither is ever
-renamed; the q-iteration evaluates the same values densely, reading each
+from the base values up.  The multivariate one names copy 1 p<e> at
+every level and copy j >= 2 p<j>_<e>; each level renames the previous
+level's copy j to j + 1, since its copy 1 is the new level's copy 2.
+The q-iteration evaluates the same values densely, reading each
 variable it does not bind as q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (Q, Polynomial, RationalFunction, dense_eval,
                       dense_product, dense_sum, dense_to_rf, mono_var,
                       mono_mul, mono_str, rf_sum)
 from .poset import Poset
 from . import engine, families
-from .families import BlockDecomposition
 
 
 class StateBoundExceeded(RuntimeError):
@@ -80,12 +82,6 @@ class Term:
         return dict(self.copy_mults).get(e, ())
 
 
-@dataclass(frozen=True)
-class Transition:
-    source: FrontierState
-    terms: tuple
-
-
 class Prefix:
     """Elimination workspace: a poset of the real elements still to be
     removed and one protected placeholder copy of the block (ph_to_block
@@ -98,28 +94,34 @@ class Prefix:
         self.block_size = block_size
 
 
-def _prefix(block, rel, seed, seed_rel, letter):
-    """Workspace for eliminating seed (+) block ahead of a next copy: the
-    family's poset at two copies (BlockDecomposition.assemble), the second
-    copy the placeholders.  The seed's element e is bound to <letter><e>,
-    copy 1's to p<e> and copy 2's to n<e>."""
-    poset, idmap = BlockDecomposition(block, rel, seed, seed_rel).assemble(2)
+def _prefix(deco, letter):
+    """Workspace for eliminating deco's seed (+) block ahead of a next
+    copy: deco at two copies with no tail, the second copy the
+    placeholders.  The seed's element e is bound to <letter><e>, copy 1's
+    to p<e> and copy 2's to n<e>."""
+    poset, idmap = replace(deco, tail=Poset.empty(),
+                           tail_rel=frozenset()).assemble(2)
     letters = {("seed",): letter, ("copy", 1): "p", ("copy", 2): "n"}
     monos = {wid: mono_var("%s%d" % (letters[spec[:-1]], spec[-1]))
              for spec, wid in idmap.items()}
-    ph = {idmap[("copy", 2, e)]: e for e in block.elements}
-    return Prefix(poset, ph, monos, len(block.elements))
+    ph = {idmap[("copy", 2, e)]: e for e in deco.block.elements}
+    return Prefix(poset, ph, monos, len(deco.block.elements))
 
 
-def state_prefix(block, rel, state):
+def _state_family(deco, state):
+    """deco with the state's chain as its seed, the interface as seed_rel."""
+    return replace(deco, seed=families.chain(state.chain_length),
+                   seed_rel=state.interface)
+
+
+def state_prefix(deco, state):
     """Workspace for eliminating chain (+) block ahead of a next copy."""
-    return _prefix(block, rel, families.chain(state.chain_length),
-                   state.interface, "c")
+    return _prefix(_state_family(deco, state), "c")
 
 
-def entry_prefix(block, rel, seed, seed_rel):
+def entry_prefix(deco):
     """Workspace for eliminating seed (+) block ahead of a next copy."""
-    return _prefix(block, rel, seed, seed_rel, "a")
+    return _prefix(deco, "a")
 
 
 def eliminate_prefix(prefix):
@@ -134,8 +136,8 @@ def eliminate_prefix(prefix):
         combined.setdefault(key, []).append(coef)
     terms = [Term(rf_sum(parts), state, chain_args, mults)
              for (state, chain_args, mults), parts in combined.items()]
-    terms.sort(key=lambda t: (t.target.sort_key(), t.chain_args, t.copy_mults))
-    return terms
+    return tuple(sorted(terms, key=lambda t: (t.target.sort_key(),
+                                              t.chain_args, t.copy_mults)))
 
 
 def _eliminate(poset, monos, coef, prefix, leaves):
@@ -189,14 +191,12 @@ def _leaf(poset, reals, monos, coef, prefix):
 
 
 class RecurrenceSystem:
-    """States, transitions and the entry decomposition for one family."""
+    """The family deco (a BlockDecomposition), the entry terms and the
+    transitions, which map each state to its tuple of Terms."""
 
-    def __init__(self, block, rel, seed, seed_rel, entry, transitions):
-        self.block = block
-        self.rel = frozenset(rel)
-        self.seed = seed
-        self.seed_rel = frozenset(seed_rel)
-        self.entry = tuple(entry)
+    def __init__(self, deco, entry, transitions):
+        self.deco = deco
+        self.entry = entry
         self.transitions = dict(transitions)
         self._base_cache = {}
 
@@ -204,33 +204,23 @@ class RecurrenceSystem:
     def states(self):
         return sorted(self.transitions, key=FrontierState.sort_key)
 
-    def decomposition(self, tail=None, tail_rel=()):
-        return BlockDecomposition(
-            block=self.block, rel=self.rel, seed=self.seed,
-            seed_rel=self.seed_rel, tail=tail or Poset.empty(),
-            tail_rel=frozenset(tail_rel))
-
     # -- base cases ---------------------------------------------------------
 
-    def base_value(self, state, tail=None, tail_rel=()):
+    def base_value(self, state):
         """f at n = 1 for a state: the engine's value on chain (+) block
-        (+) tail, laid out by BlockDecomposition.assemble(1), in chain
-        variables c<i>, block variables p<e> (the names of copy 1 at
-        every level) and tail variables b<e>.  The one value serves both
-        iterations; the q-iteration reads every variable it does not
-        bind, the tail's, as q."""
-        key = (state, tail, frozenset(tail_rel))
-        hit = self._base_cache.get(key)
+        (+) tail, the family at one copy with the state's chain as seed,
+        in chain variables c<i>, block variables p<e> (the names of copy
+        1 at every level) and tail variables b<e>.  The one value serves
+        both iterations; the q-iteration reads every variable it does
+        not bind, the tail's, as q."""
+        hit = self._base_cache.get(state)
         if hit is not None:
             return hit
-        chain = families.chain(state.chain_length)
-        poset, idmap = BlockDecomposition(
-            self.block, self.rel, chain, state.interface,
-            tail or Poset.empty(), frozenset(tail_rel)).assemble(1)
+        poset, idmap = _state_family(self.deco, state).assemble(1)
         letter = {"seed": "c", "copy": "p", "tail": "b"}
         monos = {wid: mono_var("%s%d" % (letter[spec[0]], spec[-1]))
                  for spec, wid in idmap.items()}
-        f = self._base_cache[key] = engine.gfun(poset, monos)
+        f = self._base_cache[state] = engine.gfun(poset, monos)
         return f
 
     # -- iteration ------------------------------------------------------
@@ -243,14 +233,14 @@ class RecurrenceSystem:
         for t in terms:
             sub = {"c%d" % i: arg
                    for i, arg in enumerate(t.chain_args, start=1)}
-            for e in self.block.elements:
+            for e in self.deco.block.elements:
                 sub["p%d" % e] = mono_mul(t.mult(e), mono_var("p2_%d" % e))
                 for j in range(2, m):
                     sub["p%d_%d" % (j, e)] = mono_var("p%d_%d" % (j + 1, e))
             parts.append(t.coef * prev[t.target].substitute(sub))
         return rf_sum(parts)
 
-    def _eval_q(self, n, tail, tail_rel):
+    def _eval_q(self, n):
         """Bottom-up q-specialized iteration.
 
         With every deep variable q, a level's value is fixed by its key
@@ -260,7 +250,7 @@ class RecurrenceSystem:
         level 1 up.  exps maps each bound variable to its exponent of q;
         an unbound one (every entry and tail variable) is q itself.
         """
-        block_elts = tuple(sorted(self.block.elements))
+        block_elts = tuple(sorted(self.deco.block.elements))
 
         def exps_of(cexps, pexps):
             exps = {"c%d" % i: k for i, k in enumerate(cexps, start=1)}
@@ -288,39 +278,34 @@ class RecurrenceSystem:
         top = reads(self.entry, {}, keys)
         for _ in range(n - 2):
             below = {}
-            levels.append({(s, c, p): reads(self.transitions[s].terms,
+            levels.append({(s, c, p): reads(self.transitions[s],
                                             exps_of(c, p), below)
                            for s, c, p in keys})
             keys = below
-        level = {(s, c, p): dense_eval(self.base_value(s, tail, tail_rel),
-                                       exps_of(c, p))
+        level = {(s, c, p): dense_eval(self.base_value(s), exps_of(c, p))
                  for s, c, p in keys}
         for level_reads in reversed(levels):
-            level = {(s, c, p): terms_sum(self.transitions[s].terms,
+            level = {(s, c, p): terms_sum(self.transitions[s],
                                           exps_of(c, p), map(level.get, ks))
                      for (s, c, p), ks in level_reads.items()}
         return dense_to_rf(terms_sum(self.entry, {}, map(level.get, top)))
 
-    def evaluate(self, n, tail=None, tail_rel=(), q_only=True):
+    def evaluate(self, n, q_only=True):
         """f_{X_n}; q-specialized by default, multivariate in the element
         variables x<id> of the assembled poset otherwise."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        tail = tail or Poset.empty()
-        tail_rel = frozenset(tail_rel)
-        deco = self.decomposition(tail, tail_rel)
         if n == 1:
-            x1, _ = deco.assemble(1)
+            x1, _ = self.deco.assemble(1)
             return engine.gfun_q(x1) if q_only else engine.gfun(x1)
         if q_only:
-            return self._eval_q(n, tail, tail_rel)
-        level = {s: self.base_value(s, tail, tail_rel)
-                 for s in self.transitions}
+            return self._eval_q(n)
+        level = {s: self.base_value(s) for s in self.transitions}
         for m in range(2, n):
-            level = {s: self._apply_terms(tr.terms, level, m)
-                     for s, tr in self.transitions.items()}
+            level = {s: self._apply_terms(terms, level, m)
+                     for s, terms in self.transitions.items()}
         f = self._apply_terms(self.entry, level, n)
-        _, idmap = deco.assemble(n)
+        _, idmap = self.deco.assemble(n)
         final = {}
         for spec, wid in idmap.items():
             if spec[0] == "seed":
@@ -340,29 +325,28 @@ class RecurrenceSystem:
     def _term_str(self, t, names):
         args = [mono_str(a) for a in t.chain_args]
         mults = dict(t.copy_mults)
-        for e in sorted(self.block.elements):
+        for e in sorted(self.deco.block.elements):
             args.append(mono_str(mono_mul(mults.get(e, ()), mono_var(Q))))
         return "(%s) * %s[n-1](%s)" % (t.coef, names[t.target], ", ".join(args))
 
-    def emit_text(self, tail=None, tail_rel=()):
+    def emit_text(self):
         """Human-readable listing of the system, entry first, with the
         next-copy arguments displayed under the all-q convention."""
         names = self._state_names()
         lines = ["block: %d elements, %d states, %d entry terms"
-                 % (len(self.block.elements), len(self.transitions),
+                 % (len(self.deco.block.elements), len(self.transitions),
                     len(self.entry))]
         lines.append("F0[n] = f of the full poset with n block copies")
         for t in self.entry:
             lines.append("  + " + self._term_str(t, names))
         for s in self.states:
             lines.append("%s[n]: frontier %s" % (names[s], s))
-            for t in self.transitions[s].terms:
+            for t in self.transitions[s]:
                 lines.append("  + " + self._term_str(t, names))
-            base = self.base_value(s, tail, tail_rel)
-            lines.append("  %s[1] = %s" % (names[s], base))
+            lines.append("  %s[1] = %s" % (names[s], self.base_value(s)))
         return "\n".join(lines) + "\n"
 
-    def to_json(self, tail=None, tail_rel=()):
+    def to_json(self):
         names = self._state_names()
 
         def state_json(s):
@@ -374,7 +358,7 @@ class RecurrenceSystem:
             for i, arg in enumerate(t.chain_args, start=1):
                 argmap["c%d" % i] = {v: e for v, e in arg}
             mults = dict(t.copy_mults)
-            for e in sorted(self.block.elements):
+            for e in sorted(self.deco.block.elements):
                 m = mono_mul(mults.get(e, ()), mono_var("n%d" % e))
                 argmap["p%d" % e] = {v: f for v, f in m}
             return {"coef": t.coef.to_json(), "dst": names[t.target],
@@ -385,29 +369,27 @@ class RecurrenceSystem:
             "entry": [term_json(t) for t in self.entry],
             "transitions": [
                 {"src": names[s],
-                 "terms": [term_json(t) for t in self.transitions[s].terms]}
+                 "terms": [term_json(t) for t in self.transitions[s]]}
                 for s in self.states],
-            "base": {names[s]: self.base_value(s, tail, tail_rel).to_json()
+            "base": {names[s]: self.base_value(s).to_json()
                      for s in self.states},
         }
 
 
-def discover_states(block, rel, seed=None, seed_rel=()):
-    """Breadth-first closure of the frontier states reachable from the
-    seed, with one combined Transition per state."""
-    seed = seed or Poset.empty()
-    entry = eliminate_prefix(entry_prefix(block, rel, seed, seed_rel))
+def discover_states(deco):
+    """The recurrence system of the family deco (a BlockDecomposition):
+    the breadth-first closure of the frontier states reachable from its
+    seed, each state's terms combined by target and substitution."""
+    entry = eliminate_prefix(entry_prefix(deco))
     transitions = {}
     queue = [t.target for t in entry]
     while queue:
         s = queue.pop(0)
         if s in transitions:
             continue
-        terms = eliminate_prefix(state_prefix(block, rel, s))
-        transitions[s] = Transition(s, tuple(terms))
+        terms = transitions[s] = eliminate_prefix(state_prefix(deco, s))
         for t in terms:
             if t.target not in transitions:
                 queue.append(t.target)
-    return RecurrenceSystem(block, rel, seed, frozenset(seed_rel),
-                            entry, transitions)
+    return RecurrenceSystem(deco, entry, transitions)
 

@@ -13,9 +13,8 @@ import pytest
 from ppgf.algebra import (Polynomial, RationalFunction, mono_var, one_minus,
                           exact_div, parse_rational, rf_eq)
 from ppgf.cli import main as cli_main
-from ppgf.engine import (apply_deletion, apply_ple, default_binding,
-                         default_strategy, gfun, gfun_q, ple_first_strategy,
-                         reversed_strategy)
+from ppgf.engine import (apply_deletion, apply_ple, default_binding, gfun,
+                         gfun_q, ple_first_strategy, reversed_strategy)
 from ppgf.families import (diamond, multicube_block, three_rowed_block,
                            two_rowed_dd_block, zigzag_block)
 from ppgf.oracle import truncated_gf
@@ -166,7 +165,7 @@ def _stacked_diamonds_maj_numerator(n):
 def test_criterion_3_multicube_level_6():
     start = time.perf_counter()
     deco = multicube_block()
-    system = discover_states(deco.block, deco.rel, deco.seed, deco.seed_rel)
+    system = discover_states(deco)
     f = system.evaluate(6)
     num = _numerator_over_q_factorial(f, 24)
     coef = {m[0][1] if m else 0: c for m, c in num.terms.items()}
@@ -218,7 +217,7 @@ def test_criterion_3_multicube_level_6():
 def test_multicube_level_7_numerator():
     # one level past criterion 3, checked the same independent way
     deco = multicube_block()
-    system = discover_states(deco.block, deco.rel, deco.seed, deco.seed_rel)
+    system = discover_states(deco)
     num = _numerator_over_q_factorial(system.evaluate(7), 28)
     coef = {m[0][1] if m else 0: c for m, c in num.terms.items()}
     numerator = [coef.get(k, 0) for k in range(max(coef) + 1)]
@@ -228,10 +227,10 @@ def test_multicube_level_7_numerator():
 def test_criterion_4_three_rowed_recurrence_fidelity():
     start = time.perf_counter()
     deco = three_rowed_block()
-    system = discover_states(deco.block, deco.rel, deco.seed, deco.seed_rel)
+    system = discover_states(deco)
     q_state = FrontierState(1, frozenset({(1, 2), (1, 3)}))
     four_terms = (q_state in system.transitions
-                  and len(system.transitions[q_state].terms) == 4)
+                  and len(system.transitions[q_state]) == 4)
     base = system.base_value(q_state).substitute(
         {"c1": mono_var("x1"), "p1": mono_var("x2"),
          "p2": mono_var("x3"), "p3": mono_var("x4")})
@@ -283,11 +282,10 @@ def test_criterion_7_recurrence_engine_consistency():
              (two_rowed_dd_block(), (1, 2, 3, 4)),
              (multicube_block(), (1, 2, 3))]
     for deco, ns in cases:
-        system = discover_states(deco.block, deco.rel, deco.seed,
-                                 deco.seed_rel)
+        system = discover_states(deco)
         for n in ns:
             x, _ = deco.assemble(n)
-            lhs = system.evaluate(n, deco.tail, deco.tail_rel)
+            lhs = system.evaluate(n)
             if not rf_eq(lhs, gfun_q(x)):
                 failures.append((deco.block.name, n))
     elapsed = time.perf_counter() - start

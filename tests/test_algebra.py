@@ -283,6 +283,15 @@ def test_series_diamond_q():
     assert f.series(3) == P("1 + q + 3*q^2 + 4*q^3")
 
 
+@pytest.mark.parametrize("factor", [{"x1": 1, "x2": -1}, {"x1": -1}],
+                         ids=["degree_0", "degree_-1"])
+def test_series_rejects_factor_of_nonpositive_degree(factor):
+    # the geometric series of (1 - m) has no last term of degree <= bound
+    f = RationalFunction.from_json({"num": [[1, {}]], "den": [factor]})
+    with pytest.raises(ValueError, match="total degree"):
+        f.series(3)
+
+
 def _series_by_long_division(f, bound):
     """Independent series oracle: expand the denominator fully and divide
     layer by layer in total degree."""

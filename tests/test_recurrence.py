@@ -5,7 +5,7 @@ import pytest
 from ppgf.algebra import (RationalFunction, mono, mono_var, parse_rational,
                           rf_eq, rf_sum)
 from ppgf.engine import gfun, gfun_q
-from ppgf.families import (BlockDecomposition, antichain, chain, diamond,
+from ppgf.families import (BlockDecomposition, chain, diamond,
                            multicube_block, three_rowed_block,
                            two_rowed_dd_block, zigzag_block)
 from ppgf.oracle import verify
@@ -17,36 +17,32 @@ from ppgf.recurrence import (FrontierState, StateBoundExceeded,
 R = parse_rational
 
 
-def system_for(deco, **kw):
-    return discover_states(deco.block, deco.rel, deco.seed, deco.seed_rel, **kw)
-
-
 # -- zigzag: one empty-frontier state, two terms ------------------------------
 
 def test_zigzag_state_set():
-    sys_ = system_for(zigzag_block())
+    sys_ = discover_states(zigzag_block())
     assert sys_.states == [FrontierState(0, frozenset())]
-    (tr,) = [sys_.transitions[s] for s in sys_.states]
-    assert len(tr.terms) == 2
+    (terms,) = [sys_.transitions[s] for s in sys_.states]
+    assert len(terms) == 2
 
 
 def test_zigzag_transition_coefficients():
-    sys_ = system_for(zigzag_block())
-    terms = sys_.transitions[FrontierState(0, frozenset())].terms
+    sys_ = discover_states(zigzag_block())
+    terms = sys_.transitions[FrontierState(0, frozenset())]
     by_mult = {t.mult(1): t.coef for t in terms}
     assert by_mult[mono_var("p2")] == R("1/((1-p1)(1-p2))")
     assert by_mult[mono({"p1": 1, "p2": 1})] == R("(-p1)/((1-p1)(1-p1*p2))")
 
 
 def test_zigzag_base_value():
-    sys_ = system_for(zigzag_block())
+    sys_ = discover_states(zigzag_block())
     base = sys_.base_value(FrontierState(0, frozenset()))
     assert base == R("1/((1-p2)(1-p1*p2))")
 
 
 def test_zigzag_matches_engine():
     deco = zigzag_block()
-    sys_ = system_for(deco)
+    sys_ = discover_states(deco)
     for n in range(1, 5):
         x, _ = deco.assemble(n)
         assert rf_eq(sys_.evaluate(n), gfun_q(x))
@@ -58,15 +54,15 @@ Q_STATE = FrontierState(1, frozenset({(1, 2), (1, 3)}))
 
 
 def test_three_rowed_state_set():
-    sys_ = system_for(three_rowed_block())
+    sys_ = discover_states(three_rowed_block())
     assert sys_.states == [Q_STATE]
     assert len(sys_.entry) == 4
-    assert len(sys_.transitions[Q_STATE].terms) == 4
+    assert len(sys_.transitions[Q_STATE]) == 4
 
 
 def test_three_rowed_entry_terms():
     from ppgf.algebra import Polynomial
-    sys_ = system_for(three_rowed_block())
+    sys_ = discover_states(three_rowed_block())
     prefactor = R("1/((1-p2)(1-p3))")
     signs = {
         (mono({"p1": 1}),): 1,
@@ -82,7 +78,7 @@ def test_three_rowed_entry_terms():
 
 def test_three_rowed_transition_is_paper_recurrence():
     # (1 - x1 x2) / ((1-x1)(1-x2)(1-x3)(1-x4)) times the four signed calls
-    sys_ = system_for(three_rowed_block())
+    sys_ = discover_states(three_rowed_block())
     prefactor = R("(1-c1*p1)/((1-c1)(1-p1)(1-p2)(1-p3))")
     signs = {
         (mono({"c1": 1, "p1": 1}),): 1,
@@ -90,7 +86,7 @@ def test_three_rowed_transition_is_paper_recurrence():
         (mono({"c1": 1, "p1": 1, "p3": 1}),): -1,
         (mono({"c1": 1, "p1": 1, "p2": 1, "p3": 1}),): 1,
     }
-    for t in sys_.transitions[Q_STATE].terms:
+    for t in sys_.transitions[Q_STATE]:
         sign = signs[t.chain_args]
         extra = mono({v: e for m in t.chain_args for v, e in m
                       if v not in ("c1", "p1")})
@@ -99,7 +95,7 @@ def test_three_rowed_transition_is_paper_recurrence():
 
 
 def test_three_rowed_initial_condition():
-    sys_ = system_for(three_rowed_block())
+    sys_ = discover_states(three_rowed_block())
     base = sys_.base_value(Q_STATE)
     mapped = base.substitute({"c1": mono_var("x1"), "p1": mono_var("x2"),
                               "p2": mono_var("x3"), "p3": mono_var("x4")})
@@ -109,7 +105,7 @@ def test_three_rowed_initial_condition():
 
 def test_three_rowed_matches_engine():
     deco = three_rowed_block()
-    sys_ = system_for(deco)
+    sys_ = discover_states(deco)
     for n in range(1, 4):
         x, _ = deco.assemble(n)
         assert rf_eq(sys_.evaluate(n), gfun_q(x))
@@ -119,10 +115,10 @@ def test_three_rowed_matches_engine():
 
 def test_two_rowed_dd_single_term():
     deco = two_rowed_dd_block()
-    sys_ = system_for(deco)
+    sys_ = discover_states(deco)
     assert len(sys_.states) == 1
     (s,) = sys_.states
-    (t,) = sys_.transitions[s].terms
+    (t,) = sys_.transitions[s]
     assert rf_eq(t.coef, R("(1-c1^2*p1*p2)/((1-c1)(1-c1*p1)(1-c1*p2))"))
     assert t.chain_args == (mono({"c1": 1, "p1": 1, "p2": 1}),)
     assert t.copy_mults == ()
@@ -130,9 +126,9 @@ def test_two_rowed_dd_single_term():
 
 def test_two_rowed_dd_base_is_diamond():
     deco = two_rowed_dd_block()
-    sys_ = system_for(deco)
+    sys_ = discover_states(deco)
     (s,) = sys_.states
-    base = sys_.base_value(s, deco.tail, deco.tail_rel)
+    base = sys_.base_value(s)
     mapped = base.substitute({"c1": mono_var("x1"), "p1": mono_var("x2"),
                               "p2": mono_var("x3"), "b1": mono_var("x4")})
     assert rf_eq(mapped, gfun(diamond()))
@@ -140,17 +136,17 @@ def test_two_rowed_dd_base_is_diamond():
 
 def test_two_rowed_dd_matches_engine():
     deco = two_rowed_dd_block()
-    sys_ = system_for(deco)
+    sys_ = discover_states(deco)
     for n in range(1, 4):
         x, _ = deco.assemble(n)
-        assert rf_eq(sys_.evaluate(n, deco.tail, deco.tail_rel), gfun_q(x))
+        assert rf_eq(sys_.evaluate(n), gfun_q(x))
 
 
 # -- multicube ----------------------------------------------------------------
 
 def test_multicube_states_within_bound():
     deco = multicube_block()
-    sys_ = system_for(deco)
+    sys_ = discover_states(deco)
     assert sys_.states
     for s in sys_.states:
         assert s.chain_length < len(deco.block.elements)
@@ -158,7 +154,7 @@ def test_multicube_states_within_bound():
 
 def test_multicube_matches_engine_small():
     deco = multicube_block()
-    sys_ = system_for(deco)
+    sys_ = discover_states(deco)
     for n in (1, 2):
         x, _ = deco.assemble(n)
         assert rf_eq(sys_.evaluate(n), gfun_q(x))
@@ -168,9 +164,9 @@ def test_multicube_matches_engine_small():
 
 def test_chain_block_ordinal_glue():
     deco = BlockDecomposition(block=chain(1), rel=frozenset({(1, 1)}))
-    sys_ = system_for(deco)
+    sys_ = discover_states(deco)
     assert sys_.states == [FrontierState(0, frozenset())]
-    (t,) = sys_.transitions[FrontierState(0, frozenset())].terms
+    (t,) = sys_.transitions[FrontierState(0, frozenset())]
     assert t.coef == R("1/(1-p1)")
     assert t.mult(1) == mono_var("p1")
     for n in (1, 2, 5):
@@ -186,7 +182,7 @@ def test_chain_block_ordinal_glue():
 def test_rpower_block_with_spaced_ids(block, rel):
     # the copies keep the block's own ids, copy k shifted by
     # (k - 1) * (max - min + 1), as power lays them out
-    sys_ = discover_states(block, rel)
+    sys_ = discover_states(BlockDecomposition(block, frozenset(rel)))
     for n in (1, 2, 3):
         x = power(block, rel, n)
         assert rf_eq(sys_.evaluate(n), gfun_q(x))
@@ -197,10 +193,10 @@ def test_rpower_block_with_spaced_ids(block, rel):
 
 def test_multivariate_evaluation_matches_engine():
     for deco in (zigzag_block(), three_rowed_block(), two_rowed_dd_block()):
-        sys_ = system_for(deco)
+        sys_ = discover_states(deco)
         for n in (2, 3):
             x, _ = deco.assemble(n)
-            got = sys_.evaluate(n, deco.tail, deco.tail_rel, q_only=False)
+            got = sys_.evaluate(n, q_only=False)
             assert rf_eq(got, gfun(x))
             assert verify(x, got, 6).ok
 
@@ -212,11 +208,10 @@ def test_evaluations_do_not_share_state():
              (three_rowed_block(), True, (5, 3)),
              (three_rowed_block(), False, (3, 2))]
     for deco, q_only, ns in cases:
-        sys_ = system_for(deco)
+        sys_ = discover_states(deco)
         for n in ns:
-            got = sys_.evaluate(n, deco.tail, deco.tail_rel, q_only=q_only)
-            fresh = system_for(deco).evaluate(n, deco.tail, deco.tail_rel,
-                                              q_only=q_only)
+            got = sys_.evaluate(n, q_only=q_only)
+            fresh = discover_states(deco).evaluate(n, q_only=q_only)
             assert got.dumps() == fresh.dumps()
 
 
@@ -224,15 +219,14 @@ def test_evaluations_do_not_share_state():
 
 def test_eliminate_prefix_three_rowed_entry():
     deco = three_rowed_block()
-    terms = eliminate_prefix(entry_prefix(deco.block, deco.rel,
-                                          Poset.empty(), frozenset()))
+    terms = eliminate_prefix(entry_prefix(deco))
     assert len(terms) == 4
     assert {t.target for t in terms} == {Q_STATE}
 
 
 def test_eliminate_prefix_from_state():
     deco = three_rowed_block()
-    terms = eliminate_prefix(state_prefix(deco.block, deco.rel, Q_STATE))
+    terms = eliminate_prefix(state_prefix(deco, Q_STATE))
     assert len(terms) == 4
     total = rf_sum([t.coef for t in terms])
     assert rf_eq(total, R("(1-c1*p1)/((1-c1)(1-p1))"))
@@ -241,7 +235,7 @@ def test_eliminate_prefix_from_state():
 def test_state_bound_diagnostic():
     # no legitimate family reaches the bound, so tighten it artificially
     deco = three_rowed_block()
-    prefix = state_prefix(deco.block, deco.rel, Q_STATE)
+    prefix = state_prefix(deco, Q_STATE)
     prefix.block_size = 1
     with pytest.raises(StateBoundExceeded):
         eliminate_prefix(prefix)
@@ -250,7 +244,7 @@ def test_state_bound_diagnostic():
 # -- emission ---------------------------------------------------------------------
 
 def test_emit_text_structure():
-    sys_ = system_for(three_rowed_block())
+    sys_ = discover_states(three_rowed_block())
     text = sys_.emit_text()
     assert "F0[n]" in text and "F1[n-1]" in text
     term_lines = [l for l in text.splitlines() if l.startswith("  + ")]
@@ -259,7 +253,7 @@ def test_emit_text_structure():
 
 
 def test_emit_json_round_trips_values():
-    sys_ = system_for(zigzag_block())
+    sys_ = discover_states(zigzag_block())
     payload = json.loads(json.dumps(sys_.to_json()))
     assert [s["chain"] for s in payload["states"]] == [0]
     assert len(payload["transitions"][0]["terms"]) == 2
