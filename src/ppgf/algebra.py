@@ -2,12 +2,32 @@
 
 Everything here is built from three layers:
 
-  * monomials   -- exponent maps over named variables, stored as sorted
-                   tuples of (name, exponent) pairs; the empty tuple is 1;
+  * monomials   -- exponent maps over named variables, each packed into
+                   one Python int (below); 0 is the monomial 1;
   * Polynomial  -- finitely supported map monomial -> integer coefficient
                    (arbitrary precision, no zero coefficients stored);
   * RationalFunction -- a Polynomial numerator over a *multiset* of
                    monomials, each monomial m standing for a factor (1 - m).
+
+A monomial is packed in graded fixed-width fields (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  Each variable name is interned to an index i the
+first time the process meets it; field i + 1, W = 24 bits wide, holds
+its exponent and field 0 the total degree.  A product of monomials is
+the sum of their ints, the total degree is a mask, and term dicts hash
+ints.  A monomial with a negative exponent keeps each field as a signed
+digit and adds 2^(W-2) to field 0, so a product whose field 0 reads
+2^(W-3) or more is redone field by field, which raises MonomialOverflow
+when an exponent or the degree leaves [-2^(W-3), 2^(W-3)).  Decoding
+reads only the nonzero fields.
+
+Packed ints do not sort as a monomial's sorted tuple of (name, exponent)
+pairs (_mono_key) does, and two things follow the tuple order:
+RationalFunction.den is sorted by _mono_key, because the normal form
+tries factors in den's order, and Polynomial.terms is a read view keyed
+by the tuples.  Rendering sorts terms graded, then by their variables
+in natural order (x2 before x10, ties on the name), through a rank
+table of the variables one call meets.
 
 The denominator is never expanded: every generating function produced by
 the poset transformations is a polynomial over a product of (1 - monomial)
@@ -37,8 +57,8 @@ import operator
 import random
 import re
 from bisect import bisect_right
-from functools import reduce
-from itertools import accumulate, repeat
+from functools import lru_cache, reduce
+from itertools import accumulate, chain, repeat
 
 Q = "q"
 
@@ -46,77 +66,180 @@ Q = "q"
 # ---------------------------------------------------------------------------
 # monomials
 
+_W = 24
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+_LIMIT = 1 << (_W - 3)
+_LAURENT = 2 * _LIMIT
+_NAMES = []
+_INDEX = {}
+
+
+class MonomialOverflow(ValueError):
+    """An exponent or a total degree outside its packed field's range."""
+
+
+def _index(name):
+    i = _INDEX.get(name)
+    if i is None:
+        i = _INDEX[name] = len(_NAMES)
+        _NAMES.append(name)
+    return i
+
+
+def _pack(items):
+    """The monomial of (index, exponent) pairs, a repeated index's
+    exponents summed."""
+    exps = {}
+    for i, e in items:
+        exps[i] = exps.get(i, 0) + e
+    m = deg = 0
+    laurent = False
+    for i, e in exps.items():
+        if e:
+            if not -_LIMIT <= e < _LIMIT:
+                raise MonomialOverflow("exponent %d of %s leaves its %d-bit "
+                                       "field" % (e, _NAMES[i], _W))
+            m += e << (_W * (i + 1))
+            deg += e
+            laurent = laurent or e < 0
+    if not -_LIMIT <= deg < _LIMIT:
+        raise MonomialOverflow("total degree %d leaves its %d-bit field"
+                               % (deg, _W))
+    return m + deg + _LAURENT if laurent else m + deg
+
+
+def _items(m):
+    """The (index, exponent) pairs of m's variables, in index order.
+
+    Each step reads one nonzero field or skips a run of zero fields to
+    the next one, so the cost is per variable m holds."""
+    v = m >> _W
+    out = []
+    if m & _MASK < _LIMIT:
+        i = 0
+        while v:
+            e = v & _MASK
+            if e:
+                out.append((i, e))
+                v >>= _W
+                i += 1
+            else:
+                k = ((v & -v).bit_length() - 1) // _W
+                v >>= k * _W
+                i += k
+        return out
+    # a Laurent monomial: each field a signed digit
+    while v:
+        s = (v & -v).bit_length() - 1
+        s -= s % _W
+        e = (((v >> s) + _HALF) & _MASK) - _HALF
+        out.append((s // _W, e))
+        v -= e << s
+    return out
+
+
 def mono(items=()):
-    """Canonical monomial from a dict or iterable of (name, exp) pairs."""
+    """The monomial of a dict or iterable of (name, exp) pairs; the
+    exponents of a repeated name are summed."""
     if isinstance(items, dict):
         items = items.items()
-    return tuple(sorted((v, e) for v, e in items if e))
+    return _pack([(_index(v), e) for v, e in items])
 
 
 def mono_var(name, exp=1):
-    return ((name, exp),) if exp else ()
+    if 0 <= exp < _LIMIT:
+        return exp + (exp << (_W * (_index(name) + 1)))
+    return _pack([(_index(name), exp)])
 
 
 def mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            out.append(a[i])
-            i += 1
-        elif va > vb:
-            out.append(b[j])
-            j += 1
+    m = a + b
+    if m & _MASK < _LIMIT:
+        return m
+    # a Laurent factor, or a degree past the field: field by field
+    return _pack(_items(a) + _items(b))
+
+
+def mono_pow(m, k):
+    """m^k for an integer k >= 0."""
+    d = (m & _MASK) * k
+    if 0 <= d < _LIMIT:
+        return m * k
+    return _pack([(i, e * k) for i, e in _items(m)])
+
+
+def mono_deg(m):
+    d = m & _MASK
+    return d if d < _LIMIT else d - _LAURENT
+
+
+def _mono_key(m):
+    """m as the sorted tuple of its (name, exponent) pairs: the key of
+    Polynomial.terms, and of the order of RationalFunction.den."""
+    return tuple(sorted([(_NAMES[i], e) for i, e in _items(m)]))
+
+
+# for the few monomials read again and again: denominator factors, sorted
+# at every substitution, and to_dense's coefficients and base values
+_known_key = lru_cache(maxsize=1 << 11)(_mono_key)
+
+
+def _indices(monos):
+    """The set of the indices of the variables of the given monomials;
+    the monomials without a negative exponent are OR-ed together and
+    decoded once."""
+    acc = 0
+    out = set()
+    for m in monos:
+        if m & _MASK < _LIMIT:
+            acc |= m
         else:
-            e = ea + eb
-            if e:
-                out.append((va, e))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+            out.update(i for i, _ in _items(m))
+    out.update(i for i, _ in _items(acc))
+    return out
 
 
-def mono_deg(a):
-    return sum(e for _, e in a)
+def _substitution(sub):
+    """A substitution {name: monomial} as (index, shift, image) triples,
+    for its interned names (no monomial holds any other), and whether an
+    image has a negative exponent."""
+    out = []
+    laurent = False
+    for v, img in sub.items():
+        i = _INDEX.get(v)
+        if i is not None:
+            out.append((i, _W * (i + 1), img))
+            laurent = laurent or img & _MASK >= _LIMIT
+    return out, laurent
+
+
+def _subst(m, sub):
+    """m under a substitution prepared by _substitution."""
+    triples, laurent = sub
+    if laurent or m & _MASK >= _LIMIT:
+        images = {i: img for i, _, img in triples}
+        out = []
+        for i, e in _items(m):
+            img = images.get(i)
+            if img is None:
+                out.append((i, e))
+            else:
+                out.extend((j, f * e) for j, f in _items(img))
+        return _pack(out)
+    out = m
+    for _, s, img in triples:
+        e = (m >> s) & _MASK
+        if e:
+            # the exponent read from m is taken out of the product so far
+            out = mono_mul(out - e * ((1 << s) + 1),
+                           img if e == 1 else mono_pow(img, e))
+    return out
 
 
 def mono_subst(a, sub):
     """Apply a multiplicative substitution {name: monomial} to a monomial."""
-    d = {}
-    for v, e in a:
-        img = sub.get(v)
-        if img is None:
-            d[v] = d.get(v, 0) + e
-        else:
-            for w, f in img:
-                d[w] = d.get(w, 0) + f * e
-    return tuple(sorted((v, e) for v, e in d.items() if e))
-
-
-_VARKEY = {}
-
-
-def _varkey(name):
-    # natural order: alphabetic stem, then numeric suffix ("x2" before "x10")
-    k = _VARKEY.get(name)
-    if k is None:
-        m = re.fullmatch(r"(.*?)(\d*)", name)
-        k = (m.group(1), int(m.group(2)) if m.group(2) else -1)
-        _VARKEY[name] = k
-    return k
-
-
-def _mono_sortkey(a):
-    return (mono_deg(a), tuple((_varkey(v), e) for v, e in sorted(a, key=lambda p: _varkey(p[0]))))
+    return _subst(a, _substitution(sub))
 
 
 def keeps_normal_form(sub, variables):
@@ -129,21 +252,66 @@ def keeps_normal_form(sub, variables):
     substitution, so a factor that divided the image would divide the
     original.  A renaming onto distinct variables is the simplest case.
     """
-    images = [sub.get(v, ((v, 1),)) for v in variables]
+    images = []
+    for v in variables:
+        img = sub[v] if v in sub else mono_var(v)
+        if img & _MASK == 1:
+            # one variable to the power 1, read off its highest bit
+            images.append((((img.bit_length() - 1) // _W - 1, 1),))
+        else:
+            images.append(_items(img))
     seen = {}
     for img in images:
-        for w, _ in img:
-            seen[w] = seen.get(w, 0) + 1
-    return all(any(e == 1 and seen[w] == 1 for w, e in img) for img in images)
+        for i, _ in img:
+            seen[i] = seen.get(i, 0) + 1
+    return all(any(e == 1 and seen[i] == 1 for i, e in img) for img in images)
+
+
+_VARKEY = {}
+
+
+def _varkey(name):
+    # natural order: alphabetic stem, then numeric suffix ("x2" before
+    # "x10"), then the name itself ("x1" before "x01")
+    k = _VARKEY.get(name)
+    if k is None:
+        m = re.fullmatch(r"(.*?)(\d*)", name)
+        k = (m.group(1), int(m.group(2)) if m.group(2) else -1, name)
+        _VARKEY[name] = k
+    return k
+
+
+def _rendered(monos):
+    """(m, pairs) for each m of monos in rendering order, pairs its
+    (name, exponent) pairs in natural variable order (_varkey), each
+    built as it is asked for.
+
+    The order is graded, then by the pairs as (rank, exponent), a
+    variable's rank its place in natural order among the variables of
+    monos.  Where that order is the index order, the decoded (index,
+    exponent) pairs serve as they are."""
+    decoded = [(m, _items(m)) for m in monos]
+    used = sorted({i for _, items in decoded for i, _ in items})
+    natural = sorted(used, key=lambda i: _varkey(_NAMES[i]))
+    if natural == used:
+        names = _NAMES
+    else:
+        rank = {i: r for r, i in enumerate(natural)}
+        names = [_NAMES[i] for i in natural]
+        decoded = [(m, sorted([(rank[i], e) for i, e in items]))
+                   for m, items in decoded]
+    keyed = sorted([((mono_deg(m), items), m) for m, items in decoded])
+    del decoded
+    for (_, items), m in keyed:
+        yield m, [(names[r], e) for r, e in items]
+
+
+def _text(pairs):
+    return "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in pairs) or "1"
 
 
 def mono_str(a):
-    if not a:
-        return "1"
-    parts = []
-    for v, e in sorted(a, key=lambda p: _varkey(p[0])):
-        parts.append(v if e == 1 else "%s^%d" % (v, e))
-    return "*".join(parts)
+    return _text(next(_rendered([a]))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +320,18 @@ def mono_str(a):
 class Polynomial:
     """Sparse multivariate polynomial with integer coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {m: c for m, c in terms.items() if c}
+        """terms maps monomials, packed or in any form mono reads (such
+        as the keys of .terms), to coefficients."""
+        self._terms = {m if type(m) is int else mono(m): c
+                       for m, c in (terms or {}).items() if c}
+
+    @property
+    def terms(self):
+        """A fresh read view {sorted tuple of (name, exp): coefficient}."""
+        return {_mono_key(m): c for m, c in self._terms.items()}
 
     @classmethod
     def zero(cls):
@@ -165,49 +339,45 @@ class Polynomial:
 
     @classmethod
     def one(cls):
-        return cls({(): 1})
+        return _poly({0: 1})
 
     @classmethod
     def constant(cls, c):
-        return cls({(): c})
+        return cls({0: c})
 
     @classmethod
     def term(cls, m, c=1):
         return cls({m: c})
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = Polynomial.constant(other)
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return isinstance(other, Polynomial) and self._terms == other._terms
 
     __hash__ = None
 
     def __add__(self, other):
         if isinstance(other, int):
             other = Polynomial.constant(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self._terms)
+        for m, c in other._terms.items():
             s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
                 del out[m]
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _poly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -221,14 +391,12 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero()
-            p = Polynomial.__new__(Polynomial)
-            p.terms = {m: c * other for m, c in self.terms.items()}
-            return p
+            return _poly({m: c * other for m, c in self._terms.items()})
         out = {}
-        if len(self.terms) > len(other.terms):
-            a, b = self.terms, other.terms
+        if len(self._terms) > len(other._terms):
+            a, b = self._terms, other._terms
         else:
-            a, b = other.terms, self.terms
+            a, b = other._terms, self._terms
         for mb, cb in b.items():
             if not mb:
                 for ma, ca in a.items():
@@ -239,62 +407,54 @@ class Polynomial:
                         del out[ma]
                 continue
             for ma, ca in a.items():
-                m = mono_mul(ma, mb)
+                m = ma + mb
+                if m & _MASK >= _LIMIT:
+                    m = mono_mul(ma, mb)
                 s = out.get(m, 0) + ca * cb
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((mono_deg(m) for m in self.terms), default=-1)
+        return max(map(mono_deg, self._terms), default=-1)
 
     def variables(self):
-        vs = set()
-        for m in self.terms:
-            for v, _ in m:
-                vs.add(v)
-        return vs
+        return {_NAMES[i] for i in _indices(self._terms)}
 
     def substitute(self, sub):
+        sub = _substitution(sub)
         out = {}
-        for m, c in self.terms.items():
-            m2 = mono_subst(m, sub)
+        for m, c in self._terms.items():
+            m2 = _subst(m, sub)
             s = out.get(m2, 0) + c
             if s:
                 out[m2] = s
             else:
                 del out[m2]
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return _poly(out)
 
     def truncate(self, bound):
         """Drop every term of total degree above bound."""
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: c for m, c in self.terms.items() if mono_deg(m) <= bound}
-        return p
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _mono_sortkey(t[0]))
+        return _poly({m: c for m, c in self._terms.items()
+                      if mono_deg(m) <= bound})
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
-            if m == ():
+        for m, pairs in _rendered(self._terms):
+            c = self._terms[m]
+            if not pairs:
                 body = str(abs(c))
             elif abs(c) == 1:
-                body = mono_str(m)
+                body = _text(pairs)
             else:
-                body = "%d*%s" % (abs(c), mono_str(m))
+                body = "%d*%s" % (abs(c), _text(pairs))
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -304,77 +464,140 @@ class Polynomial:
     __repr__ = __str__
 
 
+def _poly(terms):
+    """The Polynomial of a dict {packed monomial: nonzero coefficient},
+    which it takes over."""
+    p = Polynomial.__new__(Polynomial)
+    p._terms = terms
+    return p
+
+
 def one_minus(m):
     """The polynomial 1 - m for a non-constant monomial m."""
-    return Polynomial({(): 1, m: -1})
+    return Polynomial({0: 1, m: -1})
 
 
 def _times_one_minus(p, m):
     """p * (1 - m) for a non-constant monomial m: p's terms, each minus
     its product with m, without the generic product's pass over 1."""
-    out = dict(p.terms)
-    for mo, c in p.terms.items():
-        mo = mono_mul(mo, m)
+    out = dict(p._terms)
+    for mo, c in p._terms.items():
+        mo += m
+        if mo & _MASK >= _LIMIT:
+            mo = mono_mul(mo - m, m)
         s = out.get(mo, 0) - c
         if s:
             out[mo] = s
         else:
             del out[mo]
-    prod = Polynomial.__new__(Polynomial)
-    prod.terms = out
-    return prod
+    return _poly(out)
 
 
 _PRIME = (1 << 61) - 1
 _RESIDUE = {}
 
 
-def _residue(name):
-    """A fixed residue in [2, _PRIME - 2] for a variable, drawn from its name."""
-    r = _RESIDUE.get(name)
+def _residue(u, k=1):
+    """r_u^k mod _PRIME, r_u a fixed residue in [2, _PRIME - 2] for the
+    variable of index u, drawn from its name."""
+    r = _RESIDUE.get((u, k))
     if r is None:
-        r = _RESIDUE[name] = random.Random(name).randrange(2, _PRIME - 1)
+        if k == 1:
+            r = random.Random(_NAMES[u]).randrange(2, _PRIME - 1)
+        else:
+            r = pow(_residue(u), k, _PRIME)
+        _RESIDUE[u, k] = r
     return r
 
 
+@lru_cache(maxsize=1 << 11)
 def _point_where_one(m):
-    """A fixed point mod _PRIME where m = 1, by its coordinates on m's
-    variables; every variable u outside m is at its residue r_u.
+    """A fixed point mod _PRIME where m = 1, every variable u outside m
+    at its residue r_u, given as {u: coordinate of u / r_u} over m's
+    variables (by index); not to be changed, as calls share it.
 
-    With (v, e) the first item of m, every other variable u of m takes
-    r_u^e and v takes the inverse of prod r_u^e_u, so that
-    m = (v * prod r_u^e_u)^e = 1.  For m = v^k that is v = 1.  Every
-    multiple of (1 - m) vanishes there.
+    With (v, e) the item of m whose name comes first, every other
+    variable u of m takes r_u^e and v takes the inverse of prod r_u^e_u,
+    so that m = (v * prod r_u^e_u)^e = 1.  For m = v^k that is v = 1.
+    Every multiple of (1 - m) vanishes there.
     """
-    (v, e), rest = m[0], m[1:]
+    (v, e), *rest = sorted(_items(m), key=lambda item: _NAMES[item[0]])
     point = {}
-    inverse = 1
+    inverse = _residue(v)
     for u, eu in rest:
-        r = _residue(u)
-        point[u] = pow(r, e, _PRIME)
-        inverse = inverse * pow(r, eu, _PRIME) % _PRIME
+        point[u] = _residue(u, e - 1)
+        inverse = inverse * _residue(u, eu) % _PRIME
     point[v] = pow(inverse, -1, _PRIME)
     return point
 
 
-def _value_at(terms, point, powers):
+def _value_at(terms, point, cache):
     """The value mod _PRIME at point (see _point_where_one) of the sum of
-    c * mo over the (mo, c) pairs in terms.  powers caches the value
-    there of each item (u, k), for the calls at one point to share."""
+    c * mo over the (mo, c) pairs in terms.
+
+    A monomial's value there is its value with every variable at its
+    residue, which cache keeps for calls at other points to share, times
+    point[u]^e for each variable u of the point that it holds with
+    exponent e.  A monomial met before, with no negative exponent, costs
+    a read of the point's fields; another is decoded for both factors."""
+    ratios = [(_W * (u + 1), ratio) for u, ratio in point.items()]
+    residues = _RESIDUE
     total = 0
     for mo, c in terms:
-        for item in mo:
-            x = powers.get(item)
-            if x is None:
-                u, k = item
-                x = powers[item] = pow(point.get(u) or _residue(u), k, _PRIME)
-            c *= x
+        x = cache.get(mo)
+        if x is not None and mo & _MASK < _LIMIT:
+            for s, ratio in ratios:
+                e = (mo >> s) & _MASK
+                if e:
+                    c *= ratio if e == 1 else pow(ratio, e, _PRIME)
+            total += c * x
+            continue
+        x = 1
+        for item in _items(mo):
+            r = residues.get(item)
+            x *= _residue(*item) if r is None else r
+            u, e = item
+            if u in point:
+                c *= point[u] if e == 1 else pow(point[u], e, _PRIME)
+        x = cache[mo] = x % _PRIME
+        total += c * x
+    return total % _PRIME
+
+
+_T = 0x5DEECE66D
+_T_INV = pow(_T, -1, _PRIME)
+
+
+def _value_graded(terms, point):
+    """The value mod _PRIME of the sum of c * mo over terms {mo: c} where
+    m's variables take point's coordinates (see _point_where_one) and
+    every other variable the one value _T, another point where m = 1.
+    mo's value there is _T^deg(mo) times (x_u / _T)^e over the variables
+    u of m, so only the degree field and m's own fields are read.  0, no
+    proof, if a term has a negative exponent."""
+    coords = [(_W * (u + 1), ratio * _residue(u) * _T_INV % _PRIME)
+              for u, ratio in point.items()]
+    grades = {}
+    total = 0
+    for mo, c in terms.items():
+        d = mo & _MASK
+        if d >= _LIMIT:
+            return 0
+        x = grades.get(d)
+        if x is None:
+            x = grades[d] = pow(_T, d, _PRIME)
+        c *= x
+        for s, x in coords:
+            e = (mo >> s) & _MASK
+            if e:
+                c *= x if e == 1 else pow(x, e, _PRIME)
         total += c
     return total % _PRIME
 
 
-def _div_one_variable(p, v, k):
-    """Quotient of a nonzero p by (1 - v^k) when exact, else None.
+def _div_one_variable(p, i, k):
+    """Quotient of a nonzero p by (1 - v^k) when exact, else None, v the
+    variable of index i.
 
     Write p = sum_j v^j * c_j with each c_j free of v.  The quotient b
     satisfies b_j = c_j + b_(j-k), so within each residue class of j mod
@@ -382,34 +605,34 @@ def _div_one_variable(p, v, k):
     every v-free monomial, the coefficients of each class sum to 0: the
     sparse, multivariate form of dense_div_one_minus.
     """
+    s = _W * (i + 1)
+    unit = (1 << s) + 1
     classes = {}
-    for mo, c in p.terms.items():
-        j = 0
-        for i, (u, e) in enumerate(mo):
-            if u == v:
-                j = e
-                mo = mo[:i] + mo[i + 1:]
-                break
-        classes.setdefault((mo, j % k), []).append((j, c))
+    for mo, c in p._terms.items():
+        if mo & _MASK < _LIMIT:
+            j = (mo >> s) & _MASK
+            rest = mo - j * unit
+        else:
+            items = _items(mo)
+            j = dict(items).get(i, 0)
+            rest = _pack([item for item in items if item[0] != i])
+        classes.setdefault((rest, j % k), []).append((j, c))
     for items in classes.values():
         if sum(c for _, c in items):
             return None
     out = {}
     for (rest, _), items in classes.items():
         items.sort()
-        at = 0
-        while at < len(rest) and rest[at][0] < v:
-            at += 1
-        head, tail = rest[:at], rest[at:]
         acc = 0
         for (j, c), (nxt, _) in zip(items, items[1:]):
             acc += c
             if acc:
                 for e in range(j, nxt, k):
-                    out[head + ((v, e),) + tail if e else rest] = acc
-    quot = Polynomial.__new__(Polynomial)
-    quot.terms = out
-    return quot
+                    mo = rest + e * unit
+                    if e < 0 or mo & _MASK >= _LIMIT:
+                        mo = mono_mul(rest, _pack([(i, e)]))
+                    out[mo] = acc
+    return _poly(out)
 
 
 def exact_div(p, m):
@@ -425,9 +648,10 @@ def exact_div(p, m):
     same as without them:
 
       * every variable at 1: p's coefficient sum must be 0;
-      * a point modulo the prime 2^61 - 1 whose other coordinates are
-        fixed pseudo-random residues (see _point_where_one), the point
-        at which rf_sum reads a lifted numerator off its parts.
+      * a point modulo the prime 2^61 - 1 where m's variables take the
+        coordinates of _point_where_one and every other variable one
+        fixed residue (_value_graded), which reads only the degree field
+        and m's own fields of each term.
 
     The division then works degree layer by degree layer using
     q = p + m*q: the lowest remaining layer of the work pile is forced to
@@ -439,11 +663,13 @@ def exact_div(p, m):
         raise ValueError("division by (1 - 1)")
     if p.is_zero():
         return Polynomial.zero()
-    if len(m) == 1:
-        return _div_one_variable(p, *m[0])
-    if sum(p.terms.values()):
+    items = _items(m)
+    if len(items) == 1:
+        return _div_one_variable(p, *items[0])
+    terms = p._terms
+    if sum(terms.values()):
         return None
-    if _value_at(p.terms.items(), _point_where_one(m), {}):
+    if _value_graded(terms, _point_where_one(m)):
         return None
     dm = mono_deg(m)
     maxd = p.degree()
@@ -451,7 +677,7 @@ def exact_div(p, m):
     if target < 0:
         return None
     buckets = {}
-    for mo, c in p.terms.items():
+    for mo, c in terms.items():
         buckets.setdefault(mono_deg(mo), {})[mo] = c
     out = {}
     d = 0
@@ -473,7 +699,7 @@ def exact_div(p, m):
             nxt[mo2] = nxt.get(mo2, 0) + c
         if not nxt:
             del buckets[nd]
-    return Polynomial(out)
+    return _poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -487,25 +713,26 @@ class RationalFunction:
     """numerator / product of (1 - m) over the denominator multiset.
 
     Normal form: zero numerator has an empty denominator, and no remaining
-    denominator factor divides the numerator exactly.  Integer content of
+    denominator factor divides the numerator exactly.  The denominator is
+    a tuple sorted by _mono_key.  Integer content of
     the numerator is preserved as-is.  Structural equality (==) compares
     normal forms; use rf_eq for equality as functions.  normalize=False
     may only wrap a normal form: the arithmetic below trusts its operands
     to be normal and tries only the factors that can still cancel.
     """
 
-    __slots__ = ("num", "den", "_variables")
+    __slots__ = ("num", "den", "_variables", "_decoded")
 
     def __init__(self, num, den=(), normalize=True):
         if isinstance(num, int):
             num = Polynomial.constant(num)
-        den = tuple(sorted(den))
+        den = tuple(sorted(den, key=_known_key)) if len(den) > 1 else tuple(den)
         for m in den:
             if not m:
                 raise DenominatorCollapse("denominator factor (1 - 1)")
         self.num = num
         self.den = den
-        self._variables = None
+        self._variables = self._decoded = None
         if normalize:
             self._normalize()
 
@@ -531,14 +758,14 @@ class RationalFunction:
         num = self.num
         kept = []
         failed = None
-        divisible = not sum(num.terms.values())
+        divisible = not sum(num._terms.values())
         for m in self.den:
             if divisible and m != failed:
                 if skip is None or not skip(m):
                     q = exact_div(num, m)
                     if q is not None:
                         num = q
-                        divisible = not sum(num.terms.values())
+                        divisible = not sum(num._terms.values())
                         continue
                 failed = m
             kept.append(m)
@@ -573,7 +800,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, int) or (isinstance(other, Polynomial)
-                                      and len(other.terms) == 1):
+                                      and len(other._terms) == 1):
             # 1 - m has content 1 and no monomial factor, so by Gauss's
             # lemma it divides c * x^a * N only if it divides N
             num = self.num * other
@@ -593,13 +820,13 @@ class RationalFunction:
         if not m:
             raise DenominatorCollapse("denominator factor (1 - 1)")
         num, den = self.num, self.den
-        if not num.terms:
+        if not num._terms:
             return _normal(num, ())
-        if m not in den and not sum(num.terms.values()):
+        if m not in den and not sum(num._terms.values()):
             quot = exact_div(num, m)
             if quot is not None:
                 return _normal(quot, den)
-        at = bisect_right(den, m)
+        at = bisect_right(den, _known_key(m), key=_known_key)
         return _normal(num, den[:at] + (m,) + den[at:])
 
     def substitute(self, sub):
@@ -609,9 +836,10 @@ class RationalFunction:
         holds, in which case it is already a normal form.
         """
         num = self.num.substitute(sub)
+        prepared = _substitution(sub)
         den = []
         for m in self.den:
-            m2 = mono_subst(m, sub)
+            m2 = _subst(m, prepared)
             if not m2:
                 raise DenominatorCollapse("factor (1 - %s) collapsed" % mono_str(m))
             den.append(m2)
@@ -631,14 +859,14 @@ class RationalFunction:
             if dm <= 0:
                 raise ValueError("factor (1 - %s) of total degree %d has no "
                                  "series" % (mono_str(m), dm))
-            geo = {(): 1}
+            geo = {0: 1}
             mk = m
             k = dm
             while k <= bound:
                 geo[mk] = 1
                 mk = mono_mul(mk, m)
                 k += dm
-            out = _trunc_mul(out, Polynomial(geo), bound)
+            out = _trunc_mul(out, _poly(geo), bound)
         return out
 
     def variables(self):
@@ -646,21 +874,18 @@ class RationalFunction:
         frozenset found on the first call: engine.gfun substitutes into
         each stored value on every memo hit."""
         if self._variables is None:
-            vs = self.num.variables()
-            for m in self.den:
-                for v, _ in m:
-                    vs.add(v)
-            self._variables = frozenset(vs)
+            self._variables = frozenset(
+                _NAMES[i] for i in _indices(chain(self.num._terms, self.den)))
         return self._variables
 
     def __str__(self):
         num = str(self.num)
         if not self.den:
             return num
-        if len(self.num.terms) > 1 or num.startswith("-"):
+        if len(self.num._terms) > 1 or num.startswith("-"):
             num = "(%s)" % num
-        factors = "".join("(1-%s)" % mono_str(m)
-                          for m in sorted(self.den, key=_mono_sortkey))
+        factors = "".join("(1-%s)" % _text(pairs)
+                          for _, pairs in _rendered(self.den))
         if len(self.den) > 1:
             return "%s/(%s)" % (num, factors)
         return "%s/%s" % (num, factors)
@@ -668,15 +893,19 @@ class RationalFunction:
     __repr__ = __str__
 
     def to_json(self):
-        num = [[c, {v: e for v, e in m}] for m, c in self.num.sorted_terms()]
-        den = [{v: e for v, e in m} for m in sorted(self.den, key=_mono_sortkey)]
+        # each monomial as a dict in name order
+        terms = self.num._terms
+        num = [[terms[m], dict(sorted(pairs))]
+               for m, pairs in _rendered(terms)]
+        den = [dict(sorted(pairs)) for _, pairs in _rendered(self.den)]
         return {"num": num, "den": den}
 
     @classmethod
     def from_json(cls, obj):
         num = {}
         for c, m in obj["num"]:
-            num[mono(m)] = num.get(mono(m), 0) + int(c)
+            m = mono(m)
+            num[m] = num.get(m, 0) + int(c)
         den = [mono(m) for m in obj["den"]]
         return cls(Polynomial(num), den)
 
@@ -696,15 +925,15 @@ def _normal(num, den):
     f = RationalFunction.__new__(RationalFunction)
     f.num = num
     f.den = den
-    f._variables = None
+    f._variables = f._decoded = None
     return f
 
 
 def _trunc_mul(a, b, bound):
     out = {}
-    for ma, ca in a.terms.items():
+    for ma, ca in a._terms.items():
         da = mono_deg(ma)
-        for mb, cb in b.terms.items():
+        for mb, cb in b._terms.items():
             if da + mono_deg(mb) > bound:
                 continue
             m = mono_mul(ma, mb)
@@ -713,9 +942,7 @@ def _trunc_mul(a, b, bound):
                 out[m] = s
             else:
                 del out[m]
-    p = Polynomial.__new__(Polynomial)
-    p.terms = out
-    return p
+    return _poly(out)
 
 
 def rf_sum(terms):
@@ -727,10 +954,11 @@ def rf_sum(terms):
     _normalize rule for rule, so the result is the same.
 
     Otherwise the sorted denominators are joined into the common one as
-    dense_sum joins them (_join), each part's numerator N_i is lifted by
-    the factors (1 - m) its denominator lacks (_minus), the parts
-    together (_lift, which multiplies a factor that several parts lack
-    into their partial sum once), and the lifted sum L is normalized.  Where the parts hold fewer terms than L,
+    dense_sum joins them (_join, on the factors keyed by _mono_key), each
+    part's numerator N_i is lifted by the factors (1 - m) its denominator
+    lacks (_minus), the parts together (_lift, which multiplies a factor
+    that several parts lack into their partial sum once), and the lifted
+    sum L is normalized.  Where the parts hold fewer terms than L,
     a factor m is first tested on them: L's value mod 2^61 - 1 at the
     point where m = 1 (_point_where_one) is the sum of the N_i there
     times their lacked factors there.  A nonzero value proves that
@@ -746,12 +974,20 @@ def rf_sum(terms):
     if dense is not None:
         values, v = dense
         return dense_to_rf(dense_sum(values), v)
-    common = reduce(_join, [f.den for f in terms])
-    parts = [(f.num, _minus(common, f.den)) for f in terms]
-    f = _normal(_lift(parts, _times_one_minus, operator.add), tuple(common))
-    small = sum(len(p.terms) for p, _ in parts) < len(f.num.terms)
+    dens = [_keyed(f.den) for f in terms]
+    common = reduce(_join, dens)
+    parts = [(f.num, [m for _, m in _minus(common, den)])
+             for f, den in zip(terms, dens)]
+    f = _normal(_lift(parts, _times_one_minus, operator.add),
+                tuple([m for _, m in common]))
+    small = sum(len(p._terms) for p, _ in parts) < len(f.num._terms)
     f._normalize(_ruled_out_on(parts) if small else None)
     return f
+
+
+def _keyed(den):
+    """den's factors as (_mono_key(m), m) pairs, which sort as den does."""
+    return [(_known_key(m), m) for m in den]
 
 
 def _lift(parts, times, add):
@@ -793,17 +1029,19 @@ def _lift(parts, times, add):
     return reduce(add, pieces)
 
 
-def _lifted_value(parts, point):
+def _lifted_value(parts, point, cache=None):
     """The value mod _PRIME at point of the sum of num * prod (1 - m) over
-    m in lack, for the (num, lack) pairs in parts, read off the parts."""
-    powers = {}
+    m in lack, for the (num, lack) pairs in parts, read off the parts;
+    cache is _value_at's, for calls at several points to share."""
+    if cache is None:
+        cache = {}
     total = 0
     for num, lack in parts:
         x = 1
         for m in lack:
-            x = x * (1 - _value_at(((m, 1),), point, powers)) % _PRIME
+            x = x * (1 - _value_at(((m, 1),), point, cache)) % _PRIME
         if x:
-            total += x * _value_at(num.terms.items(), point, powers)
+            total += x * _value_at(num._terms.items(), point, cache)
     return total % _PRIME
 
 
@@ -813,57 +1051,65 @@ def _dense_parts(terms):
     no variable).  None at the first monomial in two variables, in a
     second variable or with a negative exponent.
 
-    A RationalFunction keeps its denominator sorted, which in one
-    variable is ascending k, so each part's k are read in order.
+    Once v is known, a monomial is v^d exactly when it equals d times
+    the packed v, d its degree field.  A RationalFunction keeps its
+    denominator sorted, which in one variable is ascending k, so each
+    part's k are read in order.
     """
-    v = None
+    unit = None
     values = []
     for f in terms:
         coeffs = []
-        for mo, c in f.num.terms.items():
+        for mo, c in f.num._terms.items():
             d = 0
             if mo:
-                if len(mo) > 1:
-                    return None
-                (u, d), = mo
-                if u != v:
-                    if v is not None:
+                d = mo & _MASK
+                if unit is None or mo != d * unit:
+                    unit = _variable_of(mo, unit)
+                    if unit is None:
                         return None
-                    v = u
-                if d < 0:
-                    return None
             if d >= len(coeffs):
                 coeffs.extend(repeat(0, d + 1 - len(coeffs)))
             coeffs[d] = c
         den = []
         for m in f.den:
-            if len(m) > 1:
-                return None
-            (u, k), = m
-            if u != v:
-                if v is not None:
+            k = m & _MASK
+            if unit is None or m != k * unit:
+                unit = _variable_of(m, unit)
+                if unit is None:
                     return None
-                v = u
-            if k < 0:
-                return None
             den.append(k)
         values.append((coeffs, tuple(den)))
-    return values, v or Q
+    return values, (_NAMES[_items(unit)[0][0]] if unit else Q)
+
+
+def _variable_of(m, unit):
+    """The packed variable v of a monomial m = v^d with d > 0, when no
+    variable was met before (unit None), else None."""
+    if unit is None and m & _MASK < _LIMIT:
+        (i, d), *more = _items(m)
+        if not more:
+            return m // d
+    return None
 
 
 def _ruled_out_on(parts):
     """The test by which rf_sum's normalization skips a factor m: the
-    lifted sum of parts is nonzero at the point where m = 1.
+    lifted sum of parts is nonzero at the point where m = 1.  The parts'
+    monomials keep their values at the residues (_value_at's cache) from
+    one m's point to the next.
 
     rf_sum sums one-variable parts dense, so m's point is the all-ones
     point, whose value the normalization has already found to be 0, only
     in a one-variable sum with a negative exponent; there the test is
     wasted, never wrong.
     """
+    cache = {}
+
     def ruled_out(m):
         # a part lacking (1 - m) itself adds 0 at m's point
         return bool(_lifted_value([part for part in parts if m not in part[1]],
-                                  _point_where_one(m)))
+                                  _point_where_one(m), cache))
     return ruled_out
 
 
@@ -872,8 +1118,9 @@ def rf_eq(a, b):
     denominator factors the other side has beyond its own."""
     if a.num == b.num and a.den == b.den:
         return True
-    left = reduce(_times_one_minus, _minus(b.den, a.den), a.num)
-    right = reduce(_times_one_minus, _minus(a.den, b.den), b.num)
+    da, db = _keyed(a.den), _keyed(b.den)
+    left = reduce(_times_one_minus, [m for _, m in _minus(db, da)], a.num)
+    right = reduce(_times_one_minus, [m for _, m in _minus(da, db)], b.num)
     return left == right
 
 
@@ -972,18 +1219,24 @@ def to_dense(f, exps):
     before normalization.
 
     A variable with no entry in exps is q itself (exponent 1).  Every
-    exponent of the result must be non-negative.
+    exponent of the result must be non-negative.  f's monomials are
+    decoded on its first call and kept with it: the q-iteration reads each
+    coefficient and base value at many points.
     """
+    if f._decoded is None:
+        f._decoded = ([(_known_key(m), c) for m, c in f.num._terms.items()],
+                      [(_known_key(m), m) for m in f.den])
+    terms, factors = f._decoded
     num = {}
-    for m, c in f.num.terms.items():
+    for pairs, c in terms:
         d = 0
-        for v, e in m:
+        for v, e in pairs:
             d += e * exps.get(v, 1)
         num[d] = num.get(d, 0) + c
     den = []
-    for m in f.den:
+    for pairs, m in factors:
         k = 0
-        for v, e in m:
+        for v, e in pairs:
             k += e * exps.get(v, 1)
         if not k:
             raise DenominatorCollapse("factor (1 - %s) collapsed" % mono_str(m))
@@ -1068,12 +1321,15 @@ def dense_sum(values):
 
 def dense_to_rf(value, v=Q):
     """The RationalFunction in v of a dense value (already normalized):
-    the keys ((v, d),) and the denominator, sorted as its k are, are
-    written directly."""
+    the keys d * v and the denominator, sorted as its k are, are written
+    directly."""
     num, den = value
-    p = Polynomial.__new__(Polynomial)
-    p.terms = {((v, d),) if d else (): c for d, c in enumerate(num) if c}
-    return _normal(p, tuple([((v, k),) for k in den]))
+    if len(num) > _LIMIT or den and den[-1] >= _LIMIT:
+        raise MonomialOverflow("exponent of %s leaves its %d-bit field"
+                               % (v, _W))
+    unit = mono_var(v)
+    p = _poly({d * unit: c for d, c in enumerate(num) if c})
+    return _normal(p, tuple([k * unit for k in den]))
 
 
 # ---------------------------------------------------------------------------
@@ -1182,8 +1438,8 @@ def parse_polynomial(text):
 
 
 def _as_den_factor(p):
-    terms = dict(p.terms)
-    if terms.pop((), None) != 1:
+    terms = dict(p._terms)
+    if terms.pop(0, None) != 1:
         raise ParseError("denominator factor is not of the form (1 - monomial)")
     if len(terms) != 1:
         raise ParseError("denominator factor is not of the form (1 - monomial)")

@@ -124,7 +124,7 @@ def deletion_rhs(p, b, monos):
     g = {e: monos[e] for e in child.elements}
     if uppers:
         g[uppers[0]] = mono_mul(mb, g[uppers[0]])
-    terms = [(1, (), child, g)]
+    terms = [(1, 0, child, g)]
     if lowers:
         h = {e: monos[e] for e in child.elements}
         h[lowers[0]] = mono_mul(h[lowers[0]], mb)
@@ -141,11 +141,11 @@ def gluing_rhs(p, antichain, monos):
         m_set = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
         child, glued = p.ple(m_set, members)
         child_monos = {e: monos[e] for e in child.elements if e != glued}
-        prod = ()
+        prod = 0
         for e in m_set:
             prod = mono_mul(prod, monos[e])
         child_monos[glued] = prod
-        terms.append((1 if len(m_set) % 2 else -1, (), child, child_monos))
+        terms.append((1 if len(m_set) % 2 else -1, 0, child, child_monos))
     return None, terms
 
 

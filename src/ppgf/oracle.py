@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Polynomial
+from .algebra import Polynomial, mono_mul, mono_pow, mono_var
 
 
 def _linear_extension(p):
@@ -61,29 +61,29 @@ def truncated_gf(p, bound):
         raise ValueError("negative truncation bound %d" % bound)
     order = _linear_extension(p)
     lowers = {e: p.lower_covers(e) for e in order}
+    xs = {e: mono_var("x%d" % e) for e in order}
     terms = {}
     sigma = {}
 
-    def assign(i, total):
+    def assign(i, total, m):
         if i == len(order):
-            m = tuple(sorted(("x%d" % e, v) for e, v in sigma.items() if v))
             terms[m] = terms.get(m, 0) + 1
             return
         e = order[i]
         ub = min((sigma[a] for a in lowers[e]), default=bound)
         for v in range(min(ub, bound - total) + 1):
             sigma[e] = v
-            assign(i + 1, total + v)
+            assign(i + 1, total + v, mono_mul(m, mono_pow(xs[e], v)))
         del sigma[e]
 
-    assign(0, 0)
+    assign(0, 0, 0)
     return Polynomial(terms)
 
 
 @dataclass
 class VerifyResult:
     ok: bool
-    monomial: tuple = None
+    monomial: int = 0
     expected: int = 0
     actual: int = 0
 
@@ -108,9 +108,8 @@ def verify(p, f, bound):
     actual = f.series(bound)
     if expected == actual:
         return VerifyResult(True)
-    diff = {m for m, c in expected.terms.items() if actual.terms.get(m, 0) != c}
-    diff |= {m for m, c in actual.terms.items() if expected.terms.get(m, 0) != c}
-    from .algebra import _mono_sortkey
-    first = min(diff, key=_mono_sortkey)
-    return VerifyResult(False, first, expected.terms.get(first, 0),
-                        actual.terms.get(first, 0))
+    want, got = expected._terms, actual._terms
+    diff = {m for m in want.keys() | got.keys() if want.get(m, 0) != got.get(m, 0)}
+    from .algebra import _rendered
+    first, _ = next(_rendered(diff))
+    return VerifyResult(False, first, want.get(first, 0), got.get(first, 0))

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .algebra import (Q, Polynomial, RationalFunction, dense_eval,
+from .algebra import (Q, Polynomial, RationalFunction, _mono_key, dense_eval,
                       dense_product, dense_sum, dense_to_rf, mono_var,
-                      mono_mul, mono_str, rf_sum)
+                      mono_mul, mono_str, mono_subst, rf_sum)
 from .poset import Poset
 from . import engine, families
 
@@ -79,7 +79,7 @@ class Term:
     copy_mults: tuple
 
     def mult(self, e):
-        return dict(self.copy_mults).get(e, ())
+        return dict(self.copy_mults).get(e, 0)
 
 
 class Prefix:
@@ -136,8 +136,10 @@ def eliminate_prefix(prefix):
         combined.setdefault(key, []).append(coef)
     terms = [Term(rf_sum(parts), state, chain_args, mults)
              for (state, chain_args, mults), parts in combined.items()]
-    return tuple(sorted(terms, key=lambda t: (t.target.sort_key(),
-                                              t.chain_args, t.copy_mults)))
+    # monomials compare as their (name, exponent) tuples
+    return tuple(sorted(terms, key=lambda t: (
+        t.target.sort_key(), tuple(map(_mono_key, t.chain_args)),
+        tuple((e, _mono_key(m)) for e, m in t.copy_mults))))
 
 
 def _eliminate(poset, monos, coef, prefix, leaves):
@@ -181,9 +183,9 @@ def _leaf(poset, reals, monos, coef, prefix):
     chain_args = tuple(monos[c] for c in chain)
     mults = []
     for ph, e in prefix.ph_to_block.items():
-        base = ("n%d" % e, 1)
-        rest = tuple(p for p in monos[ph] if p != base)
-        assert len(rest) == len(monos[ph]) - 1, \
+        name = "n%d" % e
+        rest = mono_subst(monos[ph], {name: 0})
+        assert mono_mul(rest, mono_var(name)) == monos[ph], \
             "placeholder variable escaped into a multiplier"
         if rest:
             mults.append((e, rest))
@@ -257,15 +259,24 @@ class RecurrenceSystem:
             exps.update(("p%d" % b, k) for b, k in zip(block_elts, pexps))
             return exps
 
+        # each term's chain arguments and first-copy multipliers, by the
+        # term's id, as (name, exponent) pairs read once
+        args = {}
+
         def reads(terms, exps, below):
             """Each term's key one level down; below keeps one of each."""
-            def exp(mono):
-                return sum(exps.get(v, 1) * e for v, e in mono)
+            def exp(pairs):
+                return sum(exps.get(v, 1) * e for v, e in pairs)
             out = []
             for t in terms:
-                mults = dict(t.copy_mults)
-                key = (t.target, tuple(map(exp, t.chain_args)),
-                       tuple(1 + exp(mults.get(b, ())) for b in block_elts))
+                chain_mults = args.get(id(t))
+                if chain_mults is None:
+                    chain_mults = args[id(t)] = (
+                        [_mono_key(a) for a in t.chain_args],
+                        [_mono_key(t.mult(b)) for b in block_elts])
+                chain, mults = chain_mults
+                key = (t.target, tuple(map(exp, chain)),
+                       tuple(1 + exp(m) for m in mults))
                 out.append(below.setdefault(key, key))
             return out
 
@@ -326,7 +337,7 @@ class RecurrenceSystem:
         args = [mono_str(a) for a in t.chain_args]
         mults = dict(t.copy_mults)
         for e in sorted(self.deco.block.elements):
-            args.append(mono_str(mono_mul(mults.get(e, ()), mono_var(Q))))
+            args.append(mono_str(mono_mul(mults.get(e, 0), mono_var(Q))))
         return "(%s) * %s[n-1](%s)" % (t.coef, names[t.target], ", ".join(args))
 
     def emit_text(self):
@@ -356,11 +367,11 @@ class RecurrenceSystem:
         def term_json(t):
             argmap = {}
             for i, arg in enumerate(t.chain_args, start=1):
-                argmap["c%d" % i] = {v: e for v, e in arg}
+                argmap["c%d" % i] = dict(_mono_key(arg))
             mults = dict(t.copy_mults)
             for e in sorted(self.deco.block.elements):
-                m = mono_mul(mults.get(e, ()), mono_var("n%d" % e))
-                argmap["p%d" % e] = {v: f for v, f in m}
+                m = mono_mul(mults.get(e, 0), mono_var("n%d" % e))
+                argmap["p%d" % e] = dict(_mono_key(m))
             return {"coef": t.coef.to_json(), "dst": names[t.target],
                     "argmap": argmap}
 

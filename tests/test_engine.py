@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppgf.algebra import RationalFunction, mono_var, parse_rational, rf_eq
+from ppgf.algebra import RationalFunction, mono, mono_var, parse_rational, rf_eq
 from ppgf.engine import (NotRemovable, apply_deletion, apply_ple,
                          default_binding, default_strategy, gfun, gfun_at,
                          gfun_q, ple_first_strategy, reversed_strategy)
@@ -145,8 +145,8 @@ def test_gfun_rejects_constant_monomial():
 
 
 MONOMIALS = st.sampled_from([mono_var("y1"), mono_var("y2"), mono_var("y1", 2),
-                             mono_var("y2", 3), (("y1", 1), ("y2", 1)),
-                             (("y1", 2), ("y2", 1))])
+                             mono_var("y2", 3), mono({"y1": 1, "y2": 1}),
+                             mono({"y1": 2, "y2": 1})])
 
 
 @settings(max_examples=30, deadline=None)

@@ -100,3 +100,19 @@ def test_verify_reports_first_discrepancy():
     assert result.monomial is not None
     assert result.expected != result.actual
     assert "mismatch" in str(result)
+
+
+def test_truncated_gf_terms_are_keyed_as_the_benchmark_reads_them():
+    # the benchmark compares truncated_gf(...).terms, as it is, with its
+    # own series of the --json rendering, keyed by sorted (name, exp) tuples
+    import importlib.util
+    from pathlib import Path
+    from ppgf.engine import gfun
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checker", path)
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    for p in (diamond(), zigzag(3), chain(3), antichain(2)):
+        got = truncated_gf(p, 5).terms
+        assert all(isinstance(m, tuple) for m in got)
+        assert got == checker.series(gfun(p).to_json(), 5)

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from ppgf.algebra import (RationalFunction, mono, mono_var, parse_rational,
-                          rf_eq, rf_sum)
+from ppgf.algebra import (RationalFunction, mono, mono_subst, mono_var,
+                          parse_rational, rf_eq, rf_sum)
 from ppgf.engine import gfun, gfun_q
 from ppgf.families import (BlockDecomposition, chain, diamond,
                            multicube_block, three_rowed_block,
@@ -72,7 +72,7 @@ def test_three_rowed_entry_terms():
     }
     for t in sys_.entry:
         sign = signs[t.chain_args]
-        extra = mono({v: e for m in t.chain_args for v, e in m if v != "p1"})
+        extra = mono_subst(t.chain_args[0], {"p1": mono()})
         assert rf_eq(t.coef, prefactor * Polynomial.term(extra, sign))
 
 
@@ -88,8 +88,7 @@ def test_three_rowed_transition_is_paper_recurrence():
     }
     for t in sys_.transitions[Q_STATE]:
         sign = signs[t.chain_args]
-        extra = mono({v: e for m in t.chain_args for v, e in m
-                      if v not in ("c1", "p1")})
+        extra = mono_subst(t.chain_args[0], {"c1": mono(), "p1": mono()})
         from ppgf.algebra import Polynomial
         assert rf_eq(t.coef, prefactor * Polynomial.term(extra, sign))
 
