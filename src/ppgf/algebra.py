@@ -36,7 +36,21 @@ cancellations that the transformation identities create.
 
 The only substitutions ever needed are multiplicative (variable -> monomial),
 so a substitution is a plain dict {name: monomial}.  The variable name "q"
-is reserved for the one-variable specialization.
+is reserved for the one-variable specialization.  A substitution is
+prepared once per call (_substitution) as a linear map on packed ints:
+for each variable x not sent to itself, its field's shift and the
+difference image - x, and a degree cap, 2^(W-3) over the largest image
+degree (0 if an image has a negative exponent).  A monomial without a
+negative exponent and of degree below the cap maps to itself plus each
+of its exponents times its variable's difference, one shift and mask
+per entry; no field can leave its range, since the result's degree is
+at most the monomial's times the largest image's.  Any other monomial
+is decoded, substituted and packed again, which raises MonomialOverflow
+exactly where the result leaves a field.  RationalFunction.substitute
+renormalizes unless keeps_normal_form shows that the substitution
+keeps every normal form; engine.gfun's inner lookups, whose bindings
+always keep it, use _substituted, the same substitution without the
+check.
 
 Rational functions in q alone also have a dense form, a coefficient list
 over a tuple of exponents, with its own arithmetic (the dense_* functions);
@@ -201,40 +215,52 @@ def _indices(monos):
 
 
 def _substitution(sub):
-    """A substitution {name: monomial} as (index, shift, image) triples,
-    for its interned names (no monomial holds any other), and whether an
-    image has a negative exponent."""
-    out = []
-    laurent = False
+    """A substitution {name: monomial} prepared for _subst, as a list of
+    (shift, image - x_i) for each interned name i (no monomial holds any
+    other) not mapped to itself, x_i the name's own monomial, and a
+    degree cap: _LIMIT // the largest image degree, or 0 if an image is
+    Laurent.  Replacing e copies of x_i by e copies of its image adds e
+    times its difference, and below the cap no field of the result can
+    leave its range, since the result's degree is at most the
+    monomial's times the largest image's."""
+    deltas = []
+    top = 1
     for v, img in sub.items():
         i = _INDEX.get(v)
         if i is not None:
-            out.append((i, _W * (i + 1), img))
-            laurent = laurent or img & _MASK >= _LIMIT
-    return out, laurent
+            s = _W * (i + 1)
+            d = img - (1 << s) - 1
+            if d:
+                deltas.append((s, d))
+                if img & _MASK > top:
+                    top = img & _MASK
+    return deltas, (_LIMIT // top if top < _LIMIT else 0)
 
 
 def _subst(m, sub):
-    """m under a substitution prepared by _substitution."""
-    triples, laurent = sub
-    if laurent or m & _MASK >= _LIMIT:
-        images = {i: img for i, _, img in triples}
-        out = []
-        for i, e in _items(m):
-            img = images.get(i)
-            if img is None:
-                out.append((i, e))
-            else:
-                out.extend((j, f * e) for j, f in _items(img))
-        return _pack(out)
-    out = m
-    for _, s, img in triples:
-        e = (m >> s) & _MASK
-        if e:
-            # the exponent read from m is taken out of the product so far
-            out = mono_mul(out - e * ((1 << s) + 1),
-                           img if e == 1 else mono_pow(img, e))
-    return out
+    """m under a substitution prepared by _substitution.
+
+    Below the degree cap m plus each field's exponent times its
+    difference is the result.  Any other m is decoded, substituted and
+    packed, which raises MonomialOverflow where the result leaves a
+    field."""
+    deltas, cap = sub
+    if m & _MASK < cap:
+        out = m
+        for s, d in deltas:
+            e = (m >> s) & _MASK
+            if e:
+                out += e * d
+        return out
+    images = {s // _W - 1: d + (1 << s) + 1 for s, d in deltas}
+    out = []
+    for i, e in _items(m):
+        img = images.get(i)
+        if img is None:
+            out.append((i, e))
+        else:
+            out.extend((j, f * e) for j, f in _items(img))
+    return _pack(out)
 
 
 def mono_subst(a, sub):
@@ -835,16 +861,10 @@ class RationalFunction:
         The result is renormalized unless keeps_normal_form(sub, variables)
         holds, in which case it is already a normal form.
         """
-        num = self.num.substitute(sub)
-        prepared = _substitution(sub)
-        den = []
-        for m in self.den:
-            m2 = _subst(m, prepared)
-            if not m2:
-                raise DenominatorCollapse("factor (1 - %s) collapsed" % mono_str(m))
-            den.append(m2)
-        return RationalFunction(
-            num, den, not keeps_normal_form(sub, self.variables()))
+        f = _substituted(self, sub)
+        if not keeps_normal_form(sub, self.variables()):
+            f._normalize()
+        return f
 
     def series(self, bound):
         """Taylor expansion at 0 truncated to total degree <= bound.
@@ -871,8 +891,8 @@ class RationalFunction:
 
     def variables(self):
         """The variables of the numerator and the denominator, as a
-        frozenset found on the first call: engine.gfun substitutes into
-        each stored value on every memo hit."""
+        frozenset found on the first call: the recurrence substitutes
+        into a level's value once for each term that reads it."""
         if self._variables is None:
             self._variables = frozenset(
                 _NAMES[i] for i in _indices(chain(self.num._terms, self.den)))
@@ -927,6 +947,23 @@ def _normal(num, den):
     f.den = den
     f._variables = f._decoded = None
     return f
+
+
+def _substituted(f, sub):
+    """f under sub, not renormalized: a normal form where sub keeps it
+    (keeps_normal_form), as every binding engine.gfun builds inside its
+    recursion does.  The numerator goes through Polynomial.substitute."""
+    num = f.num.substitute(sub)
+    prepared = _substitution(sub)
+    den = []
+    for m in f.den:
+        m2 = _subst(m, prepared)
+        if not m2:
+            raise DenominatorCollapse("factor (1 - %s) collapsed" % mono_str(m))
+        den.append(m2)
+    if len(den) > 1:
+        den.sort(key=_known_key)
+    return _normal(num, tuple(den))
 
 
 def _trunc_mul(a, b, bound):

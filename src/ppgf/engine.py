@@ -29,11 +29,16 @@ elimination walks the same right-hand sides with a coefficient.  gfun
 keys on Poset.key, the up-set bitmasks over the ranks of the element ids,
 which is equal for two posets exactly when relabeling one by rank gives
 the other; so branches that build one structure under different
-bindings share the work.  Its stored value is substituted into
-by RationalFunction.substitute, which renormalizes only where the binding
-may not keep the normal form; every binding reached from distinct
-variables keeps it, since deletion and gluing only merge monomials, so
-each source variable stays in exactly one of them.
+bindings share the work.  It stores each value in positional variables
+v0, v1, ... and substitutes the binding into it on every lookup.  The
+normal-form check (algebra.keeps_normal_form) runs once per gfun call,
+at the caller's binding, in RationalFunction.substitute, which
+renormalizes where it fails.  Every inner lookup's binding is built by
+deletion_rhs or gluing_rhs from the distinct positional variables of
+the poset above, and both only multiply disjoint sets of them together,
+so each image keeps a variable of exponent 1 that no other image holds
+and the check always holds; inner lookups substitute through
+algebra._substituted, which does not ask it.
 gfun_at keys on Poset.key plus monomials and keeps every value in the
 target variables, which is exponentially smaller when elements share a
 variable (gfun_q's all-q input).  Each is the faster one somewhere: on
@@ -46,7 +51,8 @@ input.
 
 from __future__ import annotations
 
-from .algebra import RationalFunction, Polynomial, mono_var, mono_mul, rf_sum
+from .algebra import (RationalFunction, Polynomial, _substituted, mono_var,
+                      mono_mul, rf_sum)
 
 
 class NotRemovable(ValueError):
@@ -186,10 +192,13 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
     The memo stores, per key, the value in positional
     variables v0, v1, ...; the caller's monomials are substituted into it
     on return.  This is sound because every identity used is a
-    multiplicative substitution.  RationalFunction.substitute decides
-    whether the result needs renormalizing (algebra.keeps_normal_form)
-    from the stored value's variables, which the value keeps after the
-    first lookup.
+    multiplicative substitution.  Only this outermost substitution, at
+    the caller's binding, goes through RationalFunction.substitute and
+    its check of algebra.keeps_normal_form, renormalizing where the
+    check fails (elements that share a variable).  The bindings of the
+    recursion's own lookups are products of disjoint sets of distinct
+    variables, which always keep the normal form, so those lookups
+    substitute without the check (see the module docstring).
     """
     if monos is None:
         monos = default_binding(p)
@@ -200,8 +209,7 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
     def go(q, qmonos):
         if not q.elements:
             return RationalFunction.one()
-        sub = {"v%d" % i: qmonos[e] for i, e in enumerate(q.elements)}
-        return template(q).substitute(sub)
+        return _substituted(template(q), _positional(q, qmonos))
 
     def template(q):
         f = memo.get(q.key)
@@ -210,7 +218,15 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
             f = memo[q.key] = _step(q, canon, strategy, go)
         return f
 
-    return go(p, monos)
+    if not p.elements:
+        return RationalFunction.one()
+    return template(p).substitute(_positional(p, monos))
+
+
+def _positional(q, monos):
+    """The substitution from the positional variables of q's stored value
+    to monos."""
+    return {"v%d" % i: monos[e] for i, e in enumerate(q.elements)}
 
 
 def gfun_at(p, monos, strategy=default_strategy, memo=None):

@@ -1013,6 +1013,92 @@ def test_laurent_monomials_multiply_back_to_packed_form():
     assert mono_subst(mono({"x": -1, "y": 1}), {"y": x}) == 0
 
 
+NAMES = VARS + ("y1", "y2")
+
+
+def monomials_from(low):
+    """Monomials in NAMES with exponents from low to 3."""
+    pair = st.tuples(st.sampled_from(NAMES),
+                     st.integers(min_value=low, max_value=3))
+    return st.lists(pair, max_size=3).map(mono)
+
+
+@st.composite
+def kernel_substitutions(draw, low):
+    """Up to six names, each sent to itself, to 1 or to a monomial with
+    exponents from low to 3."""
+    sub = {}
+    for v in draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=6)):
+        kind = draw(st.sampled_from(("itself", "one", "image", "image")))
+        sub[v] = (mono_var(v) if kind == "itself" else
+                  mono() if kind == "one" else draw(monomials_from(low)))
+    return sub
+
+
+def _repacked(m, sub):
+    """m under sub, decoded and packed again by mono."""
+    pairs = []
+    for i, e in algebra._items(m):
+        v = algebra._NAMES[i]
+        image = sub.get(v, mono_var(v))
+        pairs += [(algebra._NAMES[j], f * e) for j, f in algebra._items(image)]
+    return mono(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_substitution_matches_decoding_and_repacking(data):
+    # no negative exponent half the time, where no field is decoded
+    low = data.draw(st.sampled_from((0, -3)))
+    sub = data.draw(kernel_substitutions(low))
+    terms = data.draw(st.lists(
+        st.tuples(monomials_from(low), st.integers(min_value=-3, max_value=3)),
+        max_size=4))
+    poly = {}
+    expected = {}
+    for m, c in terms:
+        assert mono_subst(m, sub) == _repacked(m, sub)
+        poly[m] = poly.get(m, 0) + c
+    for m, c in poly.items():
+        key = _repacked(m, sub)
+        expected[key] = expected.get(key, 0) + c
+    assert Polynomial(poly).substitute(sub) == Polynomial(expected)
+
+
+def test_substitution_raises_exactly_past_a_field():
+    limit = algebra._LIMIT
+    z2 = {"x": mono_var("z", 2)}
+    # the cap for an image of degree 2 is limit // 2: both sides of it
+    for k in (limit // 2 - 2, limit // 2 - 1):
+        m = mono({"x": k, "y": 1})
+        want = mono({"z": 2 * k, "y": 1})
+        assert mono_subst(m, z2) == want
+        assert Polynomial.term(m, 3).substitute(z2) == Polynomial.term(want, 3)
+    # degree limit - 1 fits, limit does not
+    assert mono_deg(mono_subst(mono({"x": limit // 2 - 1, "y": 1}), z2)) == limit - 1
+    too_big = mono({"x": limit // 2 - 1, "y": 2})
+    with pytest.raises(MonomialOverflow):
+        mono_subst(too_big, z2)
+    with pytest.raises(MonomialOverflow):
+        Polynomial.term(too_big).substitute(z2)
+    # an image power past a field, the degree in range
+    with pytest.raises(MonomialOverflow):
+        mono_subst(mono_var("x", limit // 2), {"x": mono({"a": 3, "b": -2})})
+    # the result, not a partial product, is what must fit, whichever entry
+    # the dict lists first
+    m = mono({"x": limit // 4, "y": limit // 2})
+    for sub in ({"x": mono_var("a", 2), "y": mono()},
+                {"y": mono(), "x": mono_var("a", 2)}):
+        assert mono_subst(m, sub) == mono_var("a", limit // 2)
+
+
+def test_identity_substitution_copies_the_terms():
+    p = P("x1*x2^2 - 3*x3 + 2")
+    same = p.substitute({v: mono_var(v) for v in ("x1", "x2", "x3", "y1")})
+    assert same == p
+    assert same._terms is not p._terms
+
+
 _INTERNING_SCRIPT = """
 import sys
 from ppgf import algebra, engine, families, recurrence

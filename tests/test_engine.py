@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppgf.algebra import RationalFunction, mono, mono_var, parse_rational, rf_eq
+from ppgf import engine
+from ppgf.algebra import (RationalFunction, keeps_normal_form, mono, mono_var,
+                          parse_rational, rf_eq)
 from ppgf.engine import (NotRemovable, apply_deletion, apply_ple,
                          default_binding, default_strategy, gfun, gfun_at,
                          gfun_q, ple_first_strategy, reversed_strategy)
@@ -9,6 +11,7 @@ from ppgf.families import antichain, chain, diamond
 from ppgf.oracle import truncated_gf, verify
 from ppgf.poset import Poset
 from strategies import posets, recursion_edges
+from test_acceptance import corpus
 
 R = parse_rational
 
@@ -135,6 +138,41 @@ def test_gfun_binding_equals_substitution(p, data):
     expected = gfun(p).substitute({"x%d" % e: m for e, m in bind.items()})
     assert f == expected
     assert rf_eq(f, expected)
+
+
+STRATEGIES = (default_strategy, reversed_strategy, ple_first_strategy)
+
+
+def test_inner_lookups_keep_the_normal_form(monkeypatch):
+    # only the outermost lookup asks keeps_normal_form; every binding the
+    # recursion builds must pass it
+    inner = []
+    substituted = engine._substituted
+
+    def recording(f, sub):
+        inner.append((f, sub))
+        return substituted(f, sub)
+
+    monkeypatch.setattr(engine, "_substituted", recording)
+    for p in corpus(40):
+        for strategy in STRATEGIES:
+            gfun(p, strategy=strategy)
+    assert len(inner) > 1000
+    for f, sub in inner:
+        assert keeps_normal_form(sub, f.variables())
+
+
+def test_shared_variable_bindings_renormalize_at_the_outer_lookup():
+    q = mono_var("q")
+    for p in corpus(40):
+        for bind in ({e: q for e in p.elements},
+                     {e: mono_var("x%d" % ((e + 1) // 2)) for e in p.elements}):
+            sub = {"x%d" % e: m for e, m in bind.items()}
+            for strategy in STRATEGIES:
+                f = gfun(p, bind, strategy=strategy)
+                expected = gfun(p, strategy=strategy).substitute(sub)
+                assert f == expected
+                assert rf_eq(f, expected)
 
 
 def test_gfun_rejects_constant_monomial():
