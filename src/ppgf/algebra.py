@@ -13,13 +13,13 @@ A monomial is packed in graded fixed-width fields (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007).  Each variable name is interned to an index i the
 first time the process meets it; field i + 1, W = 24 bits wide, holds
-its exponent and field 0 the total degree.  A product of monomials is
-the sum of their ints, the total degree is a mask, and term dicts hash
-ints.  A monomial with a negative exponent keeps each field as a signed
-digit and adds 2^(W-2) to field 0, so a product whose field 0 reads
-2^(W-3) or more is redone field by field, which raises MonomialOverflow
-when an exponent or the degree leaves [-2^(W-3), 2^(W-3)).  Decoding
-reads only the nonzero fields.
+its exponent and field 0 the total degree.  Every exponent is
+non-negative and the degree below 2^(W-3), which is checked where a
+monomial is made and raises MonomialOverflow otherwise; no field can
+then exceed the degree, and the sum of two monomials carries nothing
+from one field into the next.  A product of monomials is the sum of
+their ints plus one check of its degree, the total degree is a mask,
+and term dicts hash ints.  Decoding reads only the nonzero fields.
 
 Packed ints do not sort as a monomial's sorted tuple of (name, exponent)
 pairs (_mono_key) does, and two things follow the tuple order:
@@ -40,13 +40,12 @@ is reserved for the one-variable specialization.  A substitution is
 prepared once per call (_substitution) as a linear map on packed ints:
 for each variable x not sent to itself, its field's shift and the
 difference image - x, and a degree cap, 2^(W-3) over the largest image
-degree (0 if an image has a negative exponent).  A monomial without a
-negative exponent and of degree below the cap maps to itself plus each
-of its exponents times its variable's difference, one shift and mask
-per entry; no field can leave its range, since the result's degree is
-at most the monomial's times the largest image's.  Any other monomial
-is decoded, substituted and packed again, which raises MonomialOverflow
-exactly where the result leaves a field.  RationalFunction.substitute
+degree.  A monomial maps to itself plus each of its exponents times its
+variable's difference, one shift and mask per entry.  Below the cap no
+field can leave its range, since the result's degree is at most the
+monomial's times the largest image's; at or above it the result's
+degree is summed exactly, which raises MonomialOverflow exactly where
+the result leaves a field.  RationalFunction.substitute
 renormalizes unless keeps_normal_form shows that the substitution
 keeps every normal form; engine.gfun's inner lookups, whose bindings
 always keep it, use _substituted, the same substitution without the
@@ -82,15 +81,18 @@ Q = "q"
 
 _W = 24
 _MASK = (1 << _W) - 1
-_HALF = 1 << (_W - 1)
 _LIMIT = 1 << (_W - 3)
-_LAURENT = 2 * _LIMIT
 _NAMES = []
 _INDEX = {}
 
 
 class MonomialOverflow(ValueError):
-    """An exponent or a total degree outside its packed field's range."""
+    """A negative exponent, or a total degree past its packed field."""
+
+
+def _overflow(deg):
+    return MonomialOverflow("total degree %d leaves its %d-bit field"
+                            % (deg, _W))
 
 
 def _index(name):
@@ -103,24 +105,18 @@ def _index(name):
 
 def _pack(items):
     """The monomial of (index, exponent) pairs, a repeated index's
-    exponents summed."""
-    exps = {}
-    for i, e in items:
-        exps[i] = exps.get(i, 0) + e
+    exponents summed.  The degree is summed as an int, since an exponent
+    past its field would carry out of it in the packed sum."""
     m = deg = 0
-    laurent = False
-    for i, e in exps.items():
-        if e:
-            if not -_LIMIT <= e < _LIMIT:
-                raise MonomialOverflow("exponent %d of %s leaves its %d-bit "
-                                       "field" % (e, _NAMES[i], _W))
-            m += e << (_W * (i + 1))
-            deg += e
-            laurent = laurent or e < 0
-    if not -_LIMIT <= deg < _LIMIT:
-        raise MonomialOverflow("total degree %d leaves its %d-bit field"
-                               % (deg, _W))
-    return m + deg + _LAURENT if laurent else m + deg
+    for i, e in items:
+        if e < 0:
+            raise MonomialOverflow("negative exponent %d of %s"
+                                   % (e, _NAMES[i]))
+        m += e << (_W * (i + 1))
+        deg += e
+    if deg >= _LIMIT:
+        raise _overflow(deg)
+    return m + deg
 
 
 def _items(m):
@@ -130,26 +126,17 @@ def _items(m):
     the next one, so the cost is per variable m holds."""
     v = m >> _W
     out = []
-    if m & _MASK < _LIMIT:
-        i = 0
-        while v:
-            e = v & _MASK
-            if e:
-                out.append((i, e))
-                v >>= _W
-                i += 1
-            else:
-                k = ((v & -v).bit_length() - 1) // _W
-                v >>= k * _W
-                i += k
-        return out
-    # a Laurent monomial: each field a signed digit
+    i = 0
     while v:
-        s = (v & -v).bit_length() - 1
-        s -= s % _W
-        e = (((v >> s) + _HALF) & _MASK) - _HALF
-        out.append((s // _W, e))
-        v -= e << s
+        e = v & _MASK
+        if e:
+            out.append((i, e))
+            v >>= _W
+            i += 1
+        else:
+            k = ((v & -v).bit_length() - 1) // _W
+            v >>= k * _W
+            i += k
     return out
 
 
@@ -169,23 +156,21 @@ def mono_var(name, exp=1):
 
 def mono_mul(a, b):
     m = a + b
-    if m & _MASK < _LIMIT:
-        return m
-    # a Laurent factor, or a degree past the field: field by field
-    return _pack(_items(a) + _items(b))
+    if m & _MASK >= _LIMIT:
+        raise _overflow(m & _MASK)
+    return m
 
 
 def mono_pow(m, k):
     """m^k for an integer k >= 0."""
     d = (m & _MASK) * k
-    if 0 <= d < _LIMIT:
-        return m * k
-    return _pack([(i, e * k) for i, e in _items(m)])
+    if not 0 <= d < _LIMIT:
+        raise _overflow(d)
+    return m * k
 
 
 def mono_deg(m):
-    d = m & _MASK
-    return d if d < _LIMIT else d - _LAURENT
+    return m & _MASK
 
 
 def _mono_key(m):
@@ -200,29 +185,20 @@ _known_key = lru_cache(maxsize=1 << 11)(_mono_key)
 
 
 def _indices(monos):
-    """The set of the indices of the variables of the given monomials;
-    the monomials without a negative exponent are OR-ed together and
-    decoded once."""
-    acc = 0
-    out = set()
-    for m in monos:
-        if m & _MASK < _LIMIT:
-            acc |= m
-        else:
-            out.update(i for i, _ in _items(m))
-    out.update(i for i, _ in _items(acc))
-    return out
+    """The set of the indices of the variables of the given monomials,
+    OR-ed together and decoded once."""
+    return {i for i, _ in _items(reduce(operator.or_, monos, 0))}
 
 
 def _substitution(sub):
     """A substitution {name: monomial} prepared for _subst, as a list of
     (shift, image - x_i) for each interned name i (no monomial holds any
     other) not mapped to itself, x_i the name's own monomial, and a
-    degree cap: _LIMIT // the largest image degree, or 0 if an image is
-    Laurent.  Replacing e copies of x_i by e copies of its image adds e
-    times its difference, and below the cap no field of the result can
-    leave its range, since the result's degree is at most the
-    monomial's times the largest image's."""
+    degree cap: _LIMIT // the largest image degree.  Replacing e copies
+    of x_i by e copies of its image adds e times its difference, and
+    below the cap no field of the result can leave its range, since the
+    result's degree is at most the monomial's times the largest
+    image's."""
     deltas = []
     top = 1
     for v, img in sub.items():
@@ -234,33 +210,31 @@ def _substitution(sub):
                 deltas.append((s, d))
                 if img & _MASK > top:
                     top = img & _MASK
-    return deltas, (_LIMIT // top if top < _LIMIT else 0)
+    return deltas, _LIMIT // top
 
 
 def _subst(m, sub):
-    """m under a substitution prepared by _substitution.
-
-    Below the degree cap m plus each field's exponent times its
-    difference is the result.  Any other m is decoded, substituted and
-    packed, which raises MonomialOverflow where the result leaves a
-    field."""
+    """m under a substitution prepared by _substitution: m plus each
+    field's exponent times its difference, the packing being linear in
+    the exponents.  At or above the degree cap the result's degree is
+    summed exactly, each copy of x_i adding its image's degree minus 1,
+    and MonomialOverflow raised where it leaves its field."""
     deltas, cap = sub
-    if m & _MASK < cap:
-        out = m
+    out = m
+    for s, d in deltas:
+        e = (m >> s) & _MASK
+        if e:
+            out += e * d
+    if m & _MASK >= cap:
+        deg = m & _MASK
         for s, d in deltas:
-            e = (m >> s) & _MASK
-            if e:
-                out += e * d
-        return out
-    images = {s // _W - 1: d + (1 << s) + 1 for s, d in deltas}
-    out = []
-    for i, e in _items(m):
-        img = images.get(i)
-        if img is None:
-            out.append((i, e))
-        else:
-            out.extend((j, f * e) for j, f in _items(img))
-    return _pack(out)
+            # d + 1 is the image minus 1 << s, which has no bit in field
+            # 0, so field 0 of d + 1 (as two's complement if negative)
+            # is the image's degree
+            deg += ((m >> s) & _MASK) * (((d + 1) & _MASK) - 1)
+        if deg >= _LIMIT:
+            raise _overflow(deg)
+    return out
 
 
 def mono_subst(a, sub):
@@ -424,18 +398,10 @@ class Polynomial:
         else:
             a, b = other._terms, self._terms
         for mb, cb in b.items():
-            if not mb:
-                for ma, ca in a.items():
-                    s = out.get(ma, 0) + ca * cb
-                    if s:
-                        out[ma] = s
-                    else:
-                        del out[ma]
-                continue
             for ma, ca in a.items():
                 m = ma + mb
                 if m & _MASK >= _LIMIT:
-                    m = mono_mul(ma, mb)
+                    raise _overflow(m & _MASK)
                 s = out.get(m, 0) + ca * cb
                 if s:
                     out[m] = s
@@ -510,7 +476,7 @@ def _times_one_minus(p, m):
     for mo, c in p._terms.items():
         mo += m
         if mo & _MASK >= _LIMIT:
-            mo = mono_mul(mo - m, m)
+            raise _overflow(mo & _MASK)
         s = out.get(mo, 0) - c
         if s:
             out[mo] = s
@@ -564,14 +530,14 @@ def _value_at(terms, point, cache):
     A monomial's value there is its value with every variable at its
     residue, which cache keeps for calls at other points to share, times
     point[u]^e for each variable u of the point that it holds with
-    exponent e.  A monomial met before, with no negative exponent, costs
-    a read of the point's fields; another is decoded for both factors."""
+    exponent e.  A monomial met before costs a read of the point's
+    fields; another is decoded for both factors."""
     ratios = [(_W * (u + 1), ratio) for u, ratio in point.items()]
     residues = _RESIDUE
     total = 0
     for mo, c in terms:
         x = cache.get(mo)
-        if x is not None and mo & _MASK < _LIMIT:
+        if x is not None:
             for s, ratio in ratios:
                 e = (mo >> s) & _MASK
                 if e:
@@ -599,16 +565,13 @@ def _value_graded(terms, point):
     m's variables take point's coordinates (see _point_where_one) and
     every other variable the one value _T, another point where m = 1.
     mo's value there is _T^deg(mo) times (x_u / _T)^e over the variables
-    u of m, so only the degree field and m's own fields are read.  0, no
-    proof, if a term has a negative exponent."""
+    u of m, so only the degree field and m's own fields are read."""
     coords = [(_W * (u + 1), ratio * _residue(u) * _T_INV % _PRIME)
               for u, ratio in point.items()]
     grades = {}
     total = 0
     for mo, c in terms.items():
         d = mo & _MASK
-        if d >= _LIMIT:
-            return 0
         x = grades.get(d)
         if x is None:
             x = grades[d] = pow(_T, d, _PRIME)
@@ -635,14 +598,8 @@ def _div_one_variable(p, i, k):
     unit = (1 << s) + 1
     classes = {}
     for mo, c in p._terms.items():
-        if mo & _MASK < _LIMIT:
-            j = (mo >> s) & _MASK
-            rest = mo - j * unit
-        else:
-            items = _items(mo)
-            j = dict(items).get(i, 0)
-            rest = _pack([item for item in items if item[0] != i])
-        classes.setdefault((rest, j % k), []).append((j, c))
+        j = (mo >> s) & _MASK
+        classes.setdefault((mo - j * unit, j % k), []).append((j, c))
     for items in classes.values():
         if sum(c for _, c in items):
             return None
@@ -654,10 +611,7 @@ def _div_one_variable(p, i, k):
             acc += c
             if acc:
                 for e in range(j, nxt, k):
-                    mo = rest + e * unit
-                    if e < 0 or mo & _MASK >= _LIMIT:
-                        mo = mono_mul(rest, _pack([(i, e)]))
-                    out[mo] = acc
+                    out[rest + e * unit] = acc
     return _poly(out)
 
 
@@ -742,14 +696,14 @@ class RationalFunction:
     denominator factor divides the numerator exactly.  The denominator is
     a tuple sorted by _mono_key.  Integer content of
     the numerator is preserved as-is.  Structural equality (==) compares
-    normal forms; use rf_eq for equality as functions.  normalize=False
-    may only wrap a normal form: the arithmetic below trusts its operands
-    to be normal and tries only the factors that can still cancel.
+    normal forms; use rf_eq for equality as functions.  The arithmetic
+    below trusts its operands to be normal and tries only the factors
+    that can still cancel.
     """
 
     __slots__ = ("num", "den", "_variables", "_decoded")
 
-    def __init__(self, num, den=(), normalize=True):
+    def __init__(self, num, den=()):
         if isinstance(num, int):
             num = Polynomial.constant(num)
         den = tuple(sorted(den, key=_known_key)) if len(den) > 1 else tuple(den)
@@ -759,8 +713,7 @@ class RationalFunction:
         self.num = num
         self.den = den
         self._variables = self._decoded = None
-        if normalize:
-            self._normalize()
+        self._normalize()
 
     def _normalize(self, skip=None):
         """Cancel denominator factors against the numerator in one pass.
@@ -868,17 +821,12 @@ class RationalFunction:
 
     def series(self, bound):
         """Taylor expansion at 0 truncated to total degree <= bound.
-        A negative bound, or a denominator factor (1 - m) with m of total
-        degree <= 0, whose geometric series no bound truncates, raises
-        ValueError."""
+        A negative bound raises ValueError."""
         if bound < 0:
             raise ValueError("negative truncation bound %d" % bound)
         out = self.num.truncate(bound)
         for m in self.den:
             dm = mono_deg(m)
-            if dm <= 0:
-                raise ValueError("factor (1 - %s) of total degree %d has no "
-                                 "series" % (mono_str(m), dm))
             geo = {0: 1}
             mk = m
             k = dm
@@ -985,10 +933,10 @@ def _trunc_mul(a, b, bound):
 def rf_sum(terms):
     """Sum of rational functions over the least common factored denominator.
 
-    When every part is in one variable v, with no negative exponent, the
-    parts are read as dense values in v (_dense_parts) and the sum runs
-    on the dense kernel (dense_sum), whose normalization follows
-    _normalize rule for rule, so the result is the same.
+    When every part is in one variable v, the parts are read as dense
+    values in v (_dense_parts) and the sum runs on the dense kernel
+    (dense_sum), whose normalization follows _normalize rule for rule,
+    so the result is the same.
 
     Otherwise the sorted denominators are joined into the common one as
     dense_sum joins them (_join, on the factors keyed by _mono_key), each
@@ -1085,8 +1033,8 @@ def _lifted_value(parts, point, cache=None):
 def _dense_parts(terms):
     """(values, v): rational functions in the one variable v as dense
     values in v, read in one pass over their terms (v is Q when they have
-    no variable).  None at the first monomial in two variables, in a
-    second variable or with a negative exponent.
+    no variable).  None at the first monomial in two variables or in a
+    second variable.
 
     Once v is known, a monomial is v^d exactly when it equals d times
     the packed v, d its degree field.  A RationalFunction keeps its
@@ -1123,8 +1071,8 @@ def _dense_parts(terms):
 def _variable_of(m, unit):
     """The packed variable v of a monomial m = v^d with d > 0, when no
     variable was met before (unit None), else None."""
-    if unit is None and m & _MASK < _LIMIT:
-        (i, d), *more = _items(m)
+    if unit is None:
+        (_, d), *more = _items(m)
         if not more:
             return m // d
     return None
@@ -1134,13 +1082,7 @@ def _ruled_out_on(parts):
     """The test by which rf_sum's normalization skips a factor m: the
     lifted sum of parts is nonzero at the point where m = 1.  The parts'
     monomials keep their values at the residues (_value_at's cache) from
-    one m's point to the next.
-
-    rf_sum sums one-variable parts dense, so m's point is the all-ones
-    point, whose value the normalization has already found to be 0, only
-    in a one-variable sum with a negative exponent; there the test is
-    wasted, never wrong.
-    """
+    one m's point to the next."""
     cache = {}
 
     def ruled_out(m):

@@ -129,7 +129,8 @@ def _source_stamp():
 
 def _read_cache(path, stamp):
     """The cached function, or None when the entry is missing, unreadable,
-    truncated or stamped by other source."""
+    truncated, stamped by other source or holds a monomial that cannot
+    be made (MonomialOverflow is a ValueError)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)

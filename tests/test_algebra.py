@@ -180,8 +180,8 @@ def test_substitute_h_term():
 
 def test_substitute_collapse_raises():
     with pytest.raises(DenominatorCollapse):
-        RationalFunction(Polynomial.one(), (mono_var("x1"),),
-                         normalize=False).substitute({"x1": mono()})
+        unnormalized(Polynomial.one(), (mono_var("x1"),)).substitute(
+            {"x1": mono()})
 
 
 @settings(max_examples=60)
@@ -286,15 +286,6 @@ def test_series_constant():
 def test_series_diamond_q():
     f = R("(1+q^2)/((1-q)(1-q^2)(1-q^3)(1-q^4))")
     assert f.series(3) == P("1 + q + 3*q^2 + 4*q^3")
-
-
-@pytest.mark.parametrize("factor", [{"x1": 1, "x2": -1}, {"x1": -1}],
-                         ids=["degree_0", "degree_-1"])
-def test_series_rejects_factor_of_nonpositive_degree(factor):
-    # the geometric series of (1 - m) has no last term of degree <= bound
-    f = RationalFunction.from_json({"num": [[1, {}]], "den": [factor]})
-    with pytest.raises(ValueError, match="total degree"):
-        f.series(3)
 
 
 def _series_by_long_division(f, bound):
@@ -468,9 +459,6 @@ def test_rf_sum_stays_sparse_where_the_dense_form_does_not_fit(monkeypatch):
     tried = recording_exact_div(monkeypatch)
     assert a + b == RationalFunction(P("1 + q + x1"), (mono_var("q", 2),))
     assert tried == [mono_var("q")]
-    # a dense value holds no negative exponent
-    f = RationalFunction(Polynomial.term(mono_var("q", -1)), (mono_var("q"),))
-    assert f + f == RationalFunction(f.num * 2, f.den)
 
 
 def test_rf_sum_multiplies_a_factor_its_parts_share_once(monkeypatch):
@@ -543,6 +531,18 @@ def least_common(dens):
                   for _ in range(max(den.count(m) for den in dens)))
 
 
+def unnormalized(num, den):
+    """num / den with no factor cancelled, den sorted as a normal form's."""
+    return algebra._normal(num, tuple(sorted(den, key=algebra._mono_key)))
+
+
+def some_normalized(data, drawn):
+    """The (num, den) pairs of drawn as rational functions, some of them
+    normalized and the others left unnormalized."""
+    return [RationalFunction(num, den) if data.draw(st.booleans())
+            else unnormalized(num, den) for num, den in drawn]
+
+
 def fully_normalized_sum(parts):
     """The sum of parts by full sparse normalization of the lifted sum."""
     common = least_common([f.den for f in parts])
@@ -570,8 +570,7 @@ def test_rf_sum_matches_full_normalization(data):
         drawn.append((target - rest, common))
     else:
         drawn.append(data.draw(factored(den=data.draw(st.sampled_from(dens)))))
-    parts = [RationalFunction(num, den, normalize=data.draw(st.booleans()))
-             for num, den in drawn]
+    parts = some_normalized(data, drawn)
     common = least_common([f.den for f in parts])
     total = sum((lifted(f.num, f.den, common) for f in parts),
                 Polynomial.zero())
@@ -790,7 +789,7 @@ def test_dense_sum_lifts_shared_factors_as_rf_sum(data):
     drawn = data.draw(st.lists(st.tuples(q_polynomials(), st.sampled_from(dens)),
                                min_size=3, max_size=8))
     dense = [(q_coeffs(p), tuple(sorted(ks))) for p, ks in drawn]
-    sparse = [RationalFunction(p, q_den(ks), normalize=False) for p, ks in drawn]
+    sparse = [unnormalized(p, q_den(ks)) for p, ks in drawn]
     assert dense_to_rf(dense_sum(dense)) == fully_normalized_sum(sparse)
 
 
@@ -818,8 +817,7 @@ def test_one_variable_sums_run_dense(data, v):
     else:
         drawn.append((target, [mono_var(v, k)
                                for k in data.draw(st.sampled_from(dens))]))
-    parts = [RationalFunction(num, den, normalize=data.draw(st.booleans()))
-             for num, den in drawn]
+    parts = some_normalized(data, drawn)
     expected = fully_normalized_sum(parts)
     with mock.patch.object(algebra, "exact_div") as div:
         assert rf_sum(parts) == expected
@@ -831,8 +829,8 @@ def test_one_variable_sums_run_dense(data, v):
 def test_rf_sum_matches_full_normalization_in_and_out_of_one_variable(
         data, v):
     # parts in v over DIVISOR_KS, constants, and now and then a part that
-    # brings in a second variable or a negative exponent of v, which keeps
-    # the sum on the sparse kernel; some parts are left unnormalized
+    # brings in a second variable, which keeps the sum on the sparse
+    # kernel; some parts are left unnormalized
     to_v = {"q": mono_var(v)}
     one_variable = st.tuples(
         q_polynomials().map(lambda p: p.substitute(to_v)),
@@ -843,17 +841,12 @@ def test_rf_sum_matches_full_normalization_in_and_out_of_one_variable(
     other = mono_var("x2" if v == "q" else "q", 2)
     mixed = one_variable.map(
         lambda part: (part[0] + Polynomial.term(other), part[1]))
-    negative = one_variable.map(
-        lambda part: (part[0] + Polynomial.term(mono_var(v, -1)), part[1]))
-    kind = data.draw(st.sampled_from(("one", "constants", "mixed",
-                                      "negative")))
+    kind = data.draw(st.sampled_from(("one", "constants", "mixed")))
     part = {"one": st.one_of(one_variable, constant),
             "constants": constant,
-            "mixed": st.one_of(one_variable, constant, mixed),
-            "negative": st.one_of(one_variable, constant, negative)}[kind]
+            "mixed": st.one_of(one_variable, constant, mixed)}[kind]
     drawn = data.draw(st.lists(part, min_size=2, max_size=5))
-    parts = [RationalFunction(num, den, normalize=data.draw(st.booleans()))
-             for num, den in drawn]
+    parts = some_normalized(data, drawn)
     assert rf_sum(parts) == fully_normalized_sum(parts)
 
 
@@ -989,49 +982,61 @@ def test_mono_sums_a_repeated_variable():
 def test_an_exponent_or_degree_past_its_field_raises():
     limit = algebra._LIMIT
     assert mono_deg(mono_var("x", limit - 1)) == limit - 1
-    assert mono_deg(mono_var("x", -limit)) == -limit
-    for exp in (limit, -limit - 1):
+    assert mono_deg(mono({"x": limit - 2, "y": 1})) == limit - 1
+    # an exponent past its field or a negative one, wherever a monomial is
+    # made
+    for exp in (limit, -1, -limit):
         with pytest.raises(MonomialOverflow):
             mono_var("x", exp)
         with pytest.raises(MonomialOverflow):
             mono({"x": exp})
+    with pytest.raises(MonomialOverflow):
+        mono([("x", 2), ("x", -1)])
+    with pytest.raises(MonomialOverflow):
+        Polynomial({(("x", 1), ("y", -1)): 1})
+    for obj in ({"num": [[1, {"x": -1}]], "den": []},
+                {"num": [[1, {}]], "den": [{"x": 1, "y": -1}]}):
+        with pytest.raises(MonomialOverflow):
+            RationalFunction.from_json(obj)
+    # a degree past the field, though each exponent fits
+    with pytest.raises(MonomialOverflow):
+        mono({"x": limit // 2, "y": limit // 2})
+    with pytest.raises(MonomialOverflow):
+        mono({"x": 1 << algebra._W, "y": 1})
     half = mono_var("x", limit // 2)
     with pytest.raises(MonomialOverflow):
         mono_mul(half, half)
     with pytest.raises(MonomialOverflow):
         mono_mul(half, mono({"y": limit // 2}))
     with pytest.raises(MonomialOverflow):
-        mono_mul(mono({"x": 1 - limit, "y": 1}), mono({"x": -2}))
-
-
-def test_laurent_monomials_multiply_back_to_packed_form():
-    x, y = mono_var("x"), mono_var("y")
-    inverse = mono({"x": -1})
-    assert mono_mul(x, inverse) == mono() == 0
-    assert mono_mul(mono({"x": -1, "y": 2}), x) == mono_var("y", 2)
-    assert mono_deg(mono({"x": -3, "y": 1})) == -2
-    assert mono_subst(mono({"x": -1, "y": 1}), {"y": x}) == 0
+        algebra.mono_pow(half, 2)
+    assert algebra.mono_pow(mono_var("x", 3), 5) == mono_var("x", 15)
+    p = P("x^%d + 1" % (limit // 2))
+    with pytest.raises(MonomialOverflow):
+        p * p
+    with pytest.raises(MonomialOverflow):
+        algebra._times_one_minus(p, half)
 
 
 NAMES = VARS + ("y1", "y2")
 
 
-def monomials_from(low):
-    """Monomials in NAMES with exponents from low to 3."""
+def kernel_monomials():
+    """Monomials in NAMES with exponents from 0 to 3."""
     pair = st.tuples(st.sampled_from(NAMES),
-                     st.integers(min_value=low, max_value=3))
+                     st.integers(min_value=0, max_value=3))
     return st.lists(pair, max_size=3).map(mono)
 
 
 @st.composite
-def kernel_substitutions(draw, low):
+def kernel_substitutions(draw):
     """Up to six names, each sent to itself, to 1 or to a monomial with
-    exponents from low to 3."""
+    exponents from 0 to 3."""
     sub = {}
     for v in draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=6)):
         kind = draw(st.sampled_from(("itself", "one", "image", "image")))
         sub[v] = (mono_var(v) if kind == "itself" else
-                  mono() if kind == "one" else draw(monomials_from(low)))
+                  mono() if kind == "one" else draw(kernel_monomials()))
     return sub
 
 
@@ -1048,11 +1053,9 @@ def _repacked(m, sub):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_substitution_matches_decoding_and_repacking(data):
-    # no negative exponent half the time, where no field is decoded
-    low = data.draw(st.sampled_from((0, -3)))
-    sub = data.draw(kernel_substitutions(low))
+    sub = data.draw(kernel_substitutions())
     terms = data.draw(st.lists(
-        st.tuples(monomials_from(low), st.integers(min_value=-3, max_value=3)),
+        st.tuples(kernel_monomials(), st.integers(min_value=-3, max_value=3)),
         max_size=4))
     poly = {}
     expected = {}
@@ -1081,9 +1084,6 @@ def test_substitution_raises_exactly_past_a_field():
         mono_subst(too_big, z2)
     with pytest.raises(MonomialOverflow):
         Polynomial.term(too_big).substitute(z2)
-    # an image power past a field, the degree in range
-    with pytest.raises(MonomialOverflow):
-        mono_subst(mono_var("x", limit // 2), {"x": mono({"a": 3, "b": -2})})
     # the result, not a partial product, is what must fit, whichever entry
     # the dict lists first
     m = mono({"x": limit // 4, "y": limit // 2})

@@ -121,6 +121,14 @@ def test_eval_cache(capsys, tmp_path, monkeypatch):
     code, out4, err = run(capsys, "eval", "--family", "zigzag", "--n", "3")
     assert code == 0 and out4 == out1 and not err
     assert files[0].read_text() == entry
+    # and so are entries of this source holding a negative exponent, which
+    # no monomial may have
+    files[0].write_text(json.dumps({"source": stamp,
+                                    "rf": {"num": [[1, {"x1": -1}]],
+                                           "den": []}}))
+    code, out5, err = run(capsys, "eval", "--family", "zigzag", "--n", "3")
+    assert code == 0 and out5 == out1 and not err
+    assert files[0].read_text() == entry
     assert list(tmp_path.iterdir()) == files
 
 
