@@ -556,34 +556,6 @@ def _value_at(terms, point, cache):
     return total % _PRIME
 
 
-_T = 0x5DEECE66D
-_T_INV = pow(_T, -1, _PRIME)
-
-
-def _value_graded(terms, point):
-    """The value mod _PRIME of the sum of c * mo over terms {mo: c} where
-    m's variables take point's coordinates (see _point_where_one) and
-    every other variable the one value _T, another point where m = 1.
-    mo's value there is _T^deg(mo) times (x_u / _T)^e over the variables
-    u of m, so only the degree field and m's own fields are read."""
-    coords = [(_W * (u + 1), ratio * _residue(u) * _T_INV % _PRIME)
-              for u, ratio in point.items()]
-    grades = {}
-    total = 0
-    for mo, c in terms.items():
-        d = mo & _MASK
-        x = grades.get(d)
-        if x is None:
-            x = grades[d] = pow(_T, d, _PRIME)
-        c *= x
-        for s, x in coords:
-            e = (mo >> s) & _MASK
-            if e:
-                c *= x if e == 1 else pow(x, e, _PRIME)
-        total += c
-    return total % _PRIME
-
-
 def _div_one_variable(p, i, k):
     """Quotient of a nonzero p by (1 - v^k) when exact, else None, v the
     variable of index i.
@@ -622,16 +594,9 @@ def exact_div(p, m):
     running sums over the residue classes of v's exponent mod k (see
     _div_one_variable).
 
-    For m in two or more variables, two filters run first.  Each evaluates
-    p at a point where m = 1, where (1 - m) and hence every multiple of it
-    vanishes, so each can only reject a non-divisor and the result is the
-    same as without them:
-
-      * every variable at 1: p's coefficient sum must be 0;
-      * a point modulo the prime 2^61 - 1 where m's variables take the
-        coordinates of _point_where_one and every other variable one
-        fixed residue (_value_graded), which reads only the degree field
-        and m's own fields of each term.
+    For m in two or more variables, p's coefficient sum must be 0 first:
+    it is p's value with every variable at 1, where m = 1 and every
+    multiple of (1 - m) vanishes.
 
     The division then works degree layer by degree layer using
     q = p + m*q: the lowest remaining layer of the work pile is forced to
@@ -648,8 +613,6 @@ def exact_div(p, m):
         return _div_one_variable(p, *items[0])
     terms = p._terms
     if sum(terms.values()):
-        return None
-    if _value_graded(terms, _point_where_one(m)):
         return None
     dm = mono_deg(m)
     maxd = p.degree()

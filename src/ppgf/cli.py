@@ -13,13 +13,10 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-import tempfile
 
-from .algebra import ParseError, RationalFunction, parse_rational
+from .algebra import ParseError, parse_rational
 from .poset import PosetError, parse_poset_text
 from . import engine, oracle, families, recurrence
 
@@ -103,71 +100,11 @@ def cmd_recurrence(args):
     return 0
 
 
-def _cache_path(args, nblocks):
-    root = os.environ.get("PPGF_CACHE_DIR")
-    if not root:
-        return None
-    tag = args.family or "rpower"
-    if args.block:
-        with open(args.block, "rb") as fh:
-            tag += "-" + hashlib.sha256(fh.read()).hexdigest()[:12]
-    mode = "mv" if args.multivariate else "q"
-    return os.path.join(root, "%s_n%d_%s.json" % (tag, nblocks, mode))
-
-
-def _source_stamp():
-    """SHA-256 of the package's source files: a cache entry written by any
-    other version of the code is never served."""
-    digest = hashlib.sha256()
-    package = os.path.dirname(os.path.abspath(__file__))
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), "rb") as fh:
-                digest.update(name.encode() + b"\0" + fh.read())
-    return digest.hexdigest()
-
-
-def _read_cache(path, stamp):
-    """The cached function, or None when the entry is missing, unreadable,
-    truncated, stamped by other source or holds a monomial that cannot
-    be made (MonomialOverflow is a ValueError)."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict) or payload.get("source") != stamp:
-            return None
-        return RationalFunction.from_json(payload["rf"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _write_cache(path, stamp, f):
-    """Write the entry to a temporary file beside it, then rename it into
-    place, so a reader never sees a partial entry."""
-    folder = os.path.dirname(path) or "."
-    os.makedirs(folder, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"source": stamp, "rf": f.to_json()}, fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def cmd_eval(args):
     deco, blocks_for = _decomposition(args)
     if args.n < 1:
         raise PosetError("n must be >= 1")
     nblocks = blocks_for(args.n)
-    path = _cache_path(args, nblocks)
-    if path:
-        stamp = _source_stamp()
-        f = _read_cache(path, stamp)
-        if f is not None:
-            _print_rf(f, args.json)
-            return 0
     if nblocks < 1:
         # a member with no block copy, as two_rowed_dd's n = 1
         p = families.build_family(args.family, n=args.n)
@@ -175,11 +112,6 @@ def cmd_eval(args):
     else:
         f = recurrence.discover_states(deco).evaluate(
             nblocks, q_only=not args.multivariate)
-    if path:
-        try:
-            _write_cache(path, stamp, f)
-        except OSError as exc:
-            print("warning: eval cache not written: %s" % exc, file=sys.stderr)
     _print_rf(f, args.json)
     return 0
 

@@ -229,7 +229,7 @@ def _positional(q, monos):
     return {"v%d" % i: monos[e] for i, e in enumerate(q.elements)}
 
 
-def gfun_at(p, monos, strategy=default_strategy, memo=None):
+def gfun_at(p, monos, strategy=default_strategy):
     """f_P evaluated at x_a := monos[a], each value a non-constant monomial,
     memoized on Poset.key plus monomials.
 
@@ -238,8 +238,7 @@ def gfun_at(p, monos, strategy=default_strategy, memo=None):
     share a variable (the all-q case).
     """
     _check_binding(monos)
-    if memo is None:
-        memo = {}
+    memo = {}
 
     def go(q, qmonos):
         if not q.elements:

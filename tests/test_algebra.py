@@ -152,6 +152,23 @@ def test_exact_div_soundness(data):
     prod = p * one_minus(m)
     q2 = exact_div(prod, m)
     assert q2 == p
+    # so are c*(r - r*s) when s is a power of m, and no other zero-sum
+    # perturbation is: (1 - m) divides (1 - s) only for s = m^k, and a
+    # drawn s, of exponents at most 3, is at most m^3
+    powers = [mono()]
+    for _ in range(3):
+        powers.append(mono_mul(powers[-1], m))
+    r = data.draw(monomials())
+    s = data.draw(st.sampled_from(powers) | monomials())
+    c = data.draw(st.integers(min_value=1, max_value=4))
+    got = exact_div(prod + Polynomial.term(r, c)
+                    - Polynomial.term(mono_mul(r, s), c), m)
+    if s in powers:
+        k = powers.index(s)
+        assert got == sum((Polynomial.term(mono_mul(r, mk), c)
+                           for mk in powers[:k]), p)
+    else:
+        assert got is None
 
 
 # -- substitution ------------------------------------------------------------

@@ -85,9 +85,8 @@ def test_eval_two_rowed_uses_family_indexing(capsys):
     assert rf_eq(parse_rational(out.strip()), gfun_q(two_rowed_dd(4)))
 
 
-def test_eval_family_member_with_no_block_copy(capsys, monkeypatch):
+def test_eval_family_member_with_no_block_copy(capsys):
     # two_rowed_dd's n = 1 is chain(2), seed and tail with no copy between
-    monkeypatch.delenv("PPGF_CACHE_DIR", raising=False)
     code, out, _ = run(capsys, "eval", "--family", "two_rowed_dd", "--n", "1",
                        "--json")
     assert code == 0 and out == gfun_q(two_rowed_dd(1)).dumps() + "\n"
@@ -97,52 +96,6 @@ def test_eval_family_member_with_no_block_copy(capsys, monkeypatch):
     for family in ("two_rowed_dd", "zigzag"):
         code, out, err = run(capsys, "eval", "--family", family, "--n", "0")
         assert code == 2 and out == "" and err == "error: n must be >= 1\n"
-
-
-def test_eval_cache(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PPGF_CACHE_DIR", str(tmp_path))
-    code, out1, _ = run(capsys, "eval", "--family", "zigzag", "--n", "3")
-    assert code == 0
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    entry = files[0].read_text()
-    stamp = json.loads(entry)["source"]
-    assert stamp
-    code, out2, _ = run(capsys, "eval", "--family", "zigzag", "--n", "3")
-    assert code == 0 and out1 == out2
-    # entries stamped by other source are recomputed and overwritten
-    files[0].write_text(json.dumps({"source": "0" * 64,
-                                    "rf": {"num": [[7, {}]], "den": []}}))
-    code, out3, _ = run(capsys, "eval", "--family", "zigzag", "--n", "3")
-    assert code == 0 and out3 == out1
-    assert files[0].read_text() == entry
-    # so are truncated entries, which are misses rather than errors
-    files[0].write_text(entry[:len(entry) // 2])
-    code, out4, err = run(capsys, "eval", "--family", "zigzag", "--n", "3")
-    assert code == 0 and out4 == out1 and not err
-    assert files[0].read_text() == entry
-    # and so are entries of this source holding a negative exponent, which
-    # no monomial may have
-    files[0].write_text(json.dumps({"source": stamp,
-                                    "rf": {"num": [[1, {"x1": -1}]],
-                                           "den": []}}))
-    code, out5, err = run(capsys, "eval", "--family", "zigzag", "--n", "3")
-    assert code == 0 and out5 == out1 and not err
-    assert files[0].read_text() == entry
-    assert list(tmp_path.iterdir()) == files
-
-
-def test_eval_cache_that_cannot_be_written(capsys, tmp_path, monkeypatch):
-    # a cache path through a regular file fails to write, like an
-    # unreadable entry fails to read: the result is still printed
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    monkeypatch.setenv("PPGF_CACHE_DIR", str(blocker / "cache"))
-    code, out, err = run(capsys, "eval", "--family", "zigzag", "--n", "3")
-    monkeypatch.delenv("PPGF_CACHE_DIR")
-    _, expected, _ = run(capsys, "eval", "--family", "zigzag", "--n", "3")
-    assert code == 0 and out == expected
-    assert err.startswith("warning: eval cache not written") and err.count("\n") == 1
 
 
 def test_verify_pass(capsys):
@@ -224,10 +177,9 @@ def test_too_deep_for_the_recursion_exit_code(capsys):
     assert err == "error: input too deep for the recursion\n"
 
 
-def test_eval_has_no_depth_limit(capsys, tmp_path, monkeypatch):
+def test_eval_has_no_depth_limit(capsys, tmp_path):
     # the recurrence iterates its levels in a loop: 600 copies of a
     # one-element block form the 600-element chain
-    monkeypatch.delenv("PPGF_CACHE_DIR", raising=False)
     path = tmp_path / "one.poset"
     path.write_text("elements: 1\nrel: 1 1\n")
     code, out, _ = run(capsys, "eval", "--block", str(path), "--n", "600",

@@ -26,7 +26,6 @@ eval --multivariate --json runs up to zigzag n = 6 and three_rowed n = 4,
 the largest multivariate outputs in reach (about 7 s and 23 s on a 2-core
 Xeon, a 90,480-term numerator at zigzag n = 6), so that a change to the
 sparse kernel or its rendering is checked on them byte for byte.
-The eval disk cache is switched off, so every value is computed.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from itertools import combinations
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
-os.environ.pop("PPGF_CACHE_DIR", None)
 
 from ppgf import cli, engine  # noqa: E402
 from ppgf.algebra import mono_var  # noqa: E402
