@@ -25,9 +25,16 @@ Packed ints do not sort as a monomial's sorted tuple of (name, exponent)
 pairs (_mono_key) does, and two things follow the tuple order:
 RationalFunction.den is sorted by _mono_key, because the normal form
 tries factors in den's order, and Polynomial.terms is a read view keyed
-by the tuples.  Rendering sorts terms graded, then by their variables
-in natural order (x2 before x10, ties on the name), through a rank
-table of the variables one call meets.
+by the tuples.  Rendering (_layout) reads each term's exponents from
+its fields through one table of the object's variables in natural
+order (x2 before x10, ties on the name), and sorts the terms by one
+int key each: the degree, then one W-bit field per variable of the
+table holding its exponent, or 2^(W-3) where it is absent.  That is
+the graded order, then by the (rank, exponent) pair lists, a rank a
+variable's place in the table: within one degree neither list is a
+prefix of the other, so at the first differing field the exponents
+differ or one side lacks the lower rank, and 2^(W-3) is above every
+exponent.
 
 The denominator is never expanded: every generating function produced by
 the poset transformations is a polynomial over a product of (1 - monomial)
@@ -267,43 +274,34 @@ def keeps_normal_form(sub, variables):
     return all(any(e == 1 and seen[i] == 1 for i, e in img) for img in images)
 
 
-_VARKEY = {}
-
-
+@lru_cache(maxsize=None)
 def _varkey(name):
     # natural order: alphabetic stem, then numeric suffix ("x2" before
     # "x10"), then the name itself ("x1" before "x01")
-    k = _VARKEY.get(name)
-    if k is None:
-        m = re.fullmatch(r"(.*?)(\d*)", name)
-        k = (m.group(1), int(m.group(2)) if m.group(2) else -1, name)
-        _VARKEY[name] = k
-    return k
+    m = re.fullmatch(r"(.*?)(\d*)", name)
+    return m.group(1), int(m.group(2)) if m.group(2) else -1, name
 
 
-def _rendered(monos):
-    """(m, pairs) for each m of monos in rendering order, pairs its
-    (name, exponent) pairs in natural variable order (_varkey), each
-    built as it is asked for.
+def _layout(monos):
+    """The field table of monos, the (name, shift) pair of each of their
+    variables in natural order (_varkey), and monos in rendering order,
+    sorted by one int key each (see the module docstring)."""
+    table = sorted([(_NAMES[i], _W * (i + 1)) for i in _indices(monos)],
+                   key=lambda field: _varkey(field[0]))
+    shifts = [s for _, s in table]
 
-    The order is graded, then by the pairs as (rank, exponent), a
-    variable's rank its place in natural order among the variables of
-    monos.  Where that order is the index order, the decoded (index,
-    exponent) pairs serve as they are."""
-    decoded = [(m, _items(m)) for m in monos]
-    used = sorted({i for _, items in decoded for i, _ in items})
-    natural = sorted(used, key=lambda i: _varkey(_NAMES[i]))
-    if natural == used:
-        names = _NAMES
-    else:
-        rank = {i: r for r, i in enumerate(natural)}
-        names = [_NAMES[i] for i in natural]
-        decoded = [(m, sorted([(rank[i], e) for i, e in items]))
-                   for m, items in decoded]
-    keyed = sorted([((mono_deg(m), items), m) for m, items in decoded])
-    del decoded
-    for (_, items), m in keyed:
-        yield m, [(names[r], e) for r, e in items]
+    def key(m):
+        k = m & _MASK
+        for s in shifts:
+            k = k << _W | ((m >> s) & _MASK or _LIMIT)
+        return k
+
+    return table, sorted(monos, key=key)
+
+
+def _pairs(m, table):
+    """m's (name, exponent) pairs in the table's order."""
+    return [(v, e) for v, s in table if (e := (m >> s) & _MASK)]
 
 
 def _text(pairs):
@@ -311,7 +309,12 @@ def _text(pairs):
 
 
 def mono_str(a):
-    return _text(next(_rendered([a]))[1])
+    return _text(_pairs(a, _layout((a,))[0]))
+
+
+def mono_json(a):
+    """a as a dict {name: exponent} in name order, as to_json writes it."""
+    return dict(_pairs(a, sorted(_layout((a,))[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +442,15 @@ class Polynomial:
         if not self._terms:
             return "0"
         parts = []
-        for m, pairs in _rendered(self._terms):
+        table, order = _layout(self._terms)
+        for m in order:
             c = self._terms[m]
-            if not pairs:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = _text(pairs)
-            else:
-                body = "%d*%s" % (abs(c), _text(pairs))
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
+            body = _text(_pairs(m, table))
+            if abs(c) != 1:
+                body = "%d*%s" % (abs(c), body) if m else str(abs(c))
+            parts.append((" + " if c > 0 else " - ") + body)
+        text = "".join(parts)  # the first sign is written bare
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     __repr__ = __str__
 
@@ -815,8 +814,8 @@ class RationalFunction:
             return num
         if len(self.num._terms) > 1 or num.startswith("-"):
             num = "(%s)" % num
-        factors = "".join("(1-%s)" % _text(pairs)
-                          for _, pairs in _rendered(self.den))
+        table, order = _layout(self.den)
+        factors = "".join("(1-%s)" % _text(_pairs(m, table)) for m in order)
         if len(self.den) > 1:
             return "%s/(%s)" % (num, factors)
         return "%s/%s" % (num, factors)
@@ -826,10 +825,12 @@ class RationalFunction:
     def to_json(self):
         # each monomial as a dict in name order
         terms = self.num._terms
-        num = [[terms[m], dict(sorted(pairs))]
-               for m, pairs in _rendered(terms)]
-        den = [dict(sorted(pairs)) for _, pairs in _rendered(self.den)]
-        return {"num": num, "den": den}
+        table, order = _layout(terms)
+        table.sort()
+        num = [[terms[m], dict(_pairs(m, table))] for m in order]
+        table, order = _layout(self.den)
+        table.sort()
+        return {"num": num, "den": [dict(_pairs(m, table)) for m in order]}
 
     @classmethod
     def from_json(cls, obj):

@@ -69,7 +69,7 @@ def _decomposition(args):
 
 def _print_rf(f, as_json):
     if as_json:
-        print(json.dumps(f.to_json()))
+        print(f.dumps())
     else:
         print(f)
 

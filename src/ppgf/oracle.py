@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Polynomial, mono_mul, mono_pow, mono_var
+from .algebra import Polynomial, _layout, mono_mul, mono_pow, mono_var
 
 
 def _linear_extension(p):
@@ -110,6 +110,5 @@ def verify(p, f, bound):
         return VerifyResult(True)
     want, got = expected._terms, actual._terms
     diff = {m for m in want.keys() | got.keys() if want.get(m, 0) != got.get(m, 0)}
-    from .algebra import _rendered
-    first, _ = next(_rendered(diff))
+    first = _layout(diff)[1][0]
     return VerifyResult(False, first, want.get(first, 0), got.get(first, 0))

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import (Q, Polynomial, RationalFunction, _mono_key, dense_eval,
                       dense_product, dense_sum, dense_to_rf, mono_var,
-                      mono_mul, mono_str, mono_subst, rf_sum)
+                      mono_json, mono_mul, mono_str, mono_subst, rf_sum)
 from .poset import Poset
 from . import engine, families
 
@@ -367,11 +367,11 @@ class RecurrenceSystem:
         def term_json(t):
             argmap = {}
             for i, arg in enumerate(t.chain_args, start=1):
-                argmap["c%d" % i] = dict(_mono_key(arg))
+                argmap["c%d" % i] = mono_json(arg)
             mults = dict(t.copy_mults)
             for e in sorted(self.deco.block.elements):
                 m = mono_mul(mults.get(e, 0), mono_var("n%d" % e))
-                argmap["p%d" % e] = dict(_mono_key(m))
+                argmap["p%d" % e] = mono_json(m)
             return {"coef": t.coef.to_json(), "dst": names[t.target],
                     "argmap": argmap}
 

@@ -1,3 +1,4 @@
+import json
 import operator
 from collections import Counter
 from unittest import mock
@@ -987,6 +988,96 @@ def test_rendering_breaks_natural_order_ties_on_the_name():
     f, g = RationalFunction(a, ()), RationalFunction(b, ())
     assert f.dumps() == g.dumps()
     assert f.to_json()["num"] == [[1, {"x01": 1}], [1, {"x1": 1}]]
+
+
+def reference_rendered(monos):
+    """(m, pairs) for each m of monos in rendering order, pairs its
+    (name, exponent) pairs in natural variable order: the rendering
+    before the one-key layout, kept as the reference it must match.
+    Each term is decoded and its pairs sorted by rank unless the natural
+    order of the variables is their interning order."""
+    decoded = [(m, algebra._items(m)) for m in monos]
+    used = sorted({i for _, items in decoded for i, _ in items})
+    natural = sorted(used, key=lambda i: algebra._varkey(algebra._NAMES[i]))
+    if natural == used:
+        names = algebra._NAMES
+    else:
+        rank = {i: r for r, i in enumerate(natural)}
+        names = [algebra._NAMES[i] for i in natural]
+        decoded = [(m, sorted([(rank[i], e) for i, e in items]))
+                   for m, items in decoded]
+    keyed = sorted([((mono_deg(m), items), m) for m, items in decoded])
+    for (_, items), m in keyed:
+        yield m, [(names[r], e) for r, e in items]
+
+
+def reference_text(pairs):
+    return "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in pairs) or "1"
+
+
+def reference_poly_str(terms):
+    parts = []
+    for m, pairs in reference_rendered(terms):
+        c = terms[m]
+        if not pairs:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = reference_text(pairs)
+        else:
+            body = "%d*%s" % (abs(c), reference_text(pairs))
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((" + " if c > 0 else " - ") + body)
+    return "".join(parts) or "0"
+
+
+def reference_json(f):
+    terms = f.num._terms
+    return {"num": [[terms[m], dict(sorted(pairs))]
+                    for m, pairs in reference_rendered(terms)],
+            "den": [dict(sorted(pairs))
+                    for _, pairs in reference_rendered(f.den)]}
+
+
+# names whose natural order ties on stem and number (x1, x01), orders a
+# number past its text (x2, x10), and differs from any interning order
+RENDER_NAMES = ("x1", "x01", "x2", "x10", "q", "p2_3", "c1")
+
+
+def render_monomials(nonempty=False):
+    pair = st.tuples(st.sampled_from(RENDER_NAMES),
+                     st.integers(min_value=1, max_value=4))
+    return st.lists(pair, min_size=1 if nonempty else 0, max_size=4).map(mono)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_layout_renders_as_the_reference(data):
+    terms = data.draw(st.dictionaries(
+        render_monomials(), st.integers(min_value=-3, max_value=3).filter(bool),
+        max_size=8))
+    if data.draw(st.booleans()):
+        terms[mono()] = data.draw(st.sampled_from((-2, -1, 1, 5)))
+    factors = data.draw(st.lists(render_monomials(nonempty=True), max_size=3))
+    den = [m for m in factors for _ in range(data.draw(
+        st.integers(min_value=1, max_value=3)))]
+    f = unnormalized(Polynomial(terms), den)
+    _, order = algebra._layout(terms)
+    assert order == [m for m, _ in reference_rendered(terms)]
+    _, order = algebra._layout(f.den)
+    assert order == [m for m, _ in reference_rendered(f.den)]
+    for m in list(terms) + den:
+        (_, pairs), = reference_rendered([m])
+        assert algebra.mono_str(m) == reference_text(pairs)
+        assert algebra.mono_json(m) == dict(sorted(pairs))
+    assert str(f.num) == reference_poly_str(terms)
+    factors = "".join("(1-%s)" % reference_text(pairs)
+                      for _, pairs in reference_rendered(f.den))
+    assert str(f).endswith(factors if len(f.den) < 2 else factors + ")")
+    # the same dicts, their keys in the same order
+    assert f.to_json() == reference_json(f)
+    assert f.dumps() == json.dumps(reference_json(f))
 
 
 def test_mono_sums_a_repeated_variable():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ppgf.algebra import (Polynomial, mono, mono_var, parse_polynomial,
                           parse_rational)
+from ppgf.engine import gfun
 from ppgf.families import antichain, chain, diamond, zigzag
 from ppgf.oracle import enumerate_ppartitions, truncated_gf, verify
 
@@ -97,9 +98,19 @@ def test_verify_reports_first_discrepancy():
     wrong = parse_rational("1/((1-x1)(1-x1*x2)(1-x1*x2*x3)(1-x1*x2*x3*x4))")
     result = verify(diamond(), wrong, 3)
     assert not result.ok
-    assert result.monomial is not None
-    assert result.expected != result.actual
-    assert "mismatch" in str(result)
+    # the chain's series lacks x1*x3, diamond's first term it lacks
+    assert result.monomial == mono({"x1": 1, "x3": 1})
+    assert (result.expected, result.actual) == (1, 0)
+    assert str(result) == "mismatch at x1*x3: enumeration gives 1, series gives 0"
+
+
+def test_verify_reports_the_first_discrepancy_in_rendering_order():
+    # three wrong terms: x1*x3 before x1^2 (graded, then x1 to the lower
+    # power first), both before x2*x3^2
+    wrong = gfun(diamond()) - parse_rational("x1^2 + 2*x1*x3 + x2*x3^2")
+    result = verify(diamond(), wrong, 3)
+    assert result.monomial == mono({"x1": 1, "x3": 1})
+    assert (result.expected, result.actual) == (1, -1)
 
 
 def test_truncated_gf_terms_are_keyed_as_the_benchmark_reads_them():
@@ -107,7 +118,6 @@ def test_truncated_gf_terms_are_keyed_as_the_benchmark_reads_them():
     # own series of the --json rendering, keyed by sorted (name, exp) tuples
     import importlib.util
     from pathlib import Path
-    from ppgf.engine import gfun
     path = Path(__file__).resolve().parent.parent / "perfbench" / "checker.py"
     spec = importlib.util.spec_from_file_location("perfbench_checker", path)
     checker = importlib.util.module_from_spec(spec)
