@@ -21,20 +21,26 @@ from one field into the next.  A product of monomials is the sum of
 their ints plus one check of its degree, the total degree is a mask,
 and term dicts hash ints.  Decoding reads only the nonzero fields.
 
-Packed ints do not sort as a monomial's sorted tuple of (name, exponent)
-pairs (_mono_key) does, and two things follow the tuple order:
-RationalFunction.den is sorted by _mono_key, because the normal form
-tries factors in den's order, and Polynomial.terms is a read view keyed
-by the tuples.  Rendering (_layout) reads each term's exponents from
-its fields through one table of the object's variables in natural
-order (x2 before x10, ties on the name), and sorts the terms by one
-int key each: the degree, then one W-bit field per variable of the
-table holding its exponent, or 2^(W-3) where it is absent.  That is
-the graded order, then by the (rank, exponent) pair lists, a rank a
-variable's place in the table: within one degree neither list is a
-prefix of the other, so at the first differing field the exponents
-differ or one side lacks the lower rank, and 2^(W-3) is above every
-exponent.
+RationalFunction.den is sorted as plain ints.  The normal form tries
+factors in den's order, but only the order among the powers of each
+primitive monomial m0 (one whose exponents have gcd 1) can change it:
+1 - m0^g is the product of the cyclotomic Phi_d(m0) over d | g, each
+irreducible, and factors on different primitive monomials share no
+irreducible factor, so dividing by a factor on one primitive monomial
+leaves unchanged whether a factor on another one divides.  Packing is
+linear in the exponents (m0^a packs to a * m0), so the int order lists
+the powers of m0 in ascending a, as the sorted tuples of (name,
+exponent) pairs (_mono_key) do, whatever the order names were interned
+in.  Polynomial.terms is a read view keyed by those tuples.  Rendering
+(_layout) reads each term's exponents from its fields through one table
+of the object's variables in natural order (x2 before x10, ties on the
+name), and sorts the terms by one int key each: the degree, then one
+W-bit field per variable of the table holding its exponent, or 2^(W-3)
+where it is absent.  That is the graded order, then by the (rank,
+exponent) pair lists, a rank a variable's place in the table: within one
+degree neither list is a prefix of the other, so at the first differing
+field the exponents differ or one side lacks the lower rank, and 2^(W-3)
+is above every exponent.
 
 The denominator is never expanded: every generating function produced by
 the poset transformations is a polynomial over a product of (1 - monomial)
@@ -182,13 +188,8 @@ def mono_deg(m):
 
 def _mono_key(m):
     """m as the sorted tuple of its (name, exponent) pairs: the key of
-    Polynomial.terms, and of the order of RationalFunction.den."""
+    Polynomial.terms."""
     return tuple(sorted([(_NAMES[i], e) for i, e in _items(m)]))
-
-
-# for the few monomials read again and again: denominator factors, sorted
-# at every substitution, and to_dense's coefficients and base values
-_known_key = lru_cache(maxsize=1 << 11)(_mono_key)
 
 
 def _indices(monos):
@@ -656,8 +657,8 @@ class RationalFunction:
 
     Normal form: zero numerator has an empty denominator, and no remaining
     denominator factor divides the numerator exactly.  The denominator is
-    a tuple sorted by _mono_key.  Integer content of
-    the numerator is preserved as-is.  Structural equality (==) compares
+    a tuple of packed ints in ascending order.  Integer content of the
+    numerator is preserved as-is.  Structural equality (==) compares
     normal forms; use rf_eq for equality as functions.  The arithmetic
     below trusts its operands to be normal and tries only the factors
     that can still cancel.
@@ -668,7 +669,7 @@ class RationalFunction:
     def __init__(self, num, den=()):
         if isinstance(num, int):
             num = Polynomial.constant(num)
-        den = tuple(sorted(den, key=_known_key)) if len(den) > 1 else tuple(den)
+        den = tuple(sorted(den))
         for m in den:
             if not m:
                 raise DenominatorCollapse("denominator factor (1 - 1)")
@@ -767,7 +768,7 @@ class RationalFunction:
             quot = exact_div(num, m)
             if quot is not None:
                 return _normal(quot, den)
-        at = bisect_right(den, _known_key(m), key=_known_key)
+        at = bisect_right(den, m)
         return _normal(num, den[:at] + (m,) + den[at:])
 
     def substitute(self, sub):
@@ -873,8 +874,7 @@ def _substituted(f, sub):
         if not m2:
             raise DenominatorCollapse("factor (1 - %s) collapsed" % mono_str(m))
         den.append(m2)
-    if len(den) > 1:
-        den.sort(key=_known_key)
+    den.sort()
     return _normal(num, tuple(den))
 
 
@@ -903,7 +903,7 @@ def rf_sum(terms):
     so the result is the same.
 
     Otherwise the sorted denominators are joined into the common one as
-    dense_sum joins them (_join, on the factors keyed by _mono_key), each
+    dense_sum joins them (_join, one merge of the packed ints), each
     part's numerator N_i is lifted by the factors (1 - m) its denominator
     lacks (_minus), the parts together (_lift, which multiplies a factor
     that several parts lack into their partial sum once), and the lifted
@@ -923,20 +923,12 @@ def rf_sum(terms):
     if dense is not None:
         values, v = dense
         return dense_to_rf(dense_sum(values), v)
-    dens = [_keyed(f.den) for f in terms]
-    common = reduce(_join, dens)
-    parts = [(f.num, [m for _, m in _minus(common, den)])
-             for f, den in zip(terms, dens)]
-    f = _normal(_lift(parts, _times_one_minus, operator.add),
-                tuple([m for _, m in common]))
+    common = reduce(_join, [f.den for f in terms])
+    parts = [(f.num, _minus(common, f.den)) for f in terms]
+    f = _normal(_lift(parts, _times_one_minus, operator.add), tuple(common))
     small = sum(len(p._terms) for p, _ in parts) < len(f.num._terms)
     f._normalize(_ruled_out_on(parts) if small else None)
     return f
-
-
-def _keyed(den):
-    """den's factors as (_mono_key(m), m) pairs, which sort as den does."""
-    return [(_known_key(m), m) for m in den]
 
 
 def _lift(parts, times, add):
@@ -1061,9 +1053,8 @@ def rf_eq(a, b):
     denominator factors the other side has beyond its own."""
     if a.num == b.num and a.den == b.den:
         return True
-    da, db = _keyed(a.den), _keyed(b.den)
-    left = reduce(_times_one_minus, [m for _, m in _minus(db, da)], a.num)
-    right = reduce(_times_one_minus, [m for _, m in _minus(da, db)], b.num)
+    left = reduce(_times_one_minus, _minus(b.den, a.den), a.num)
+    right = reduce(_times_one_minus, _minus(a.den, b.den), b.num)
     return left == right
 
 
@@ -1167,8 +1158,8 @@ def to_dense(f, exps):
     coefficient and base value at many points.
     """
     if f._decoded is None:
-        f._decoded = ([(_known_key(m), c) for m, c in f.num._terms.items()],
-                      [(_known_key(m), m) for m in f.den])
+        f._decoded = ([(_mono_key(m), c) for m, c in f.num._terms.items()],
+                      [(_mono_key(m), m) for m in f.den])
     terms, factors = f._decoded
     num = {}
     for pairs, c in terms:

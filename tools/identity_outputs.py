@@ -16,12 +16,13 @@ elements): the deletion of every element, and the gluing of every
 nonempty subset of every antichain of two or more elements.  gfun_q of
 the first 40 wide posets is printed under the default and the reversed
 strategy, and under ple_first for the 14 of them with at most 45
-nonempty antichains.  gfun of the first 40 acceptance posets is also
-printed under the binding e -> x<ceil(e/2)> and each strategy: elements
-share variables, so that binding fails keeps_normal_form and the value
-is renormalized, the one path of gfun that still is.  The last section
-reads a block whose ids do not start at 1, {5, 7, 9}, from a temporary
-file.
+nonempty antichains.  gfun of every acceptance poset is also printed
+under the bindings e -> x<ceil(e/2)> and e -> x<ceil(e/3)> and each
+strategy: elements share variables, so those bindings fail
+keeps_normal_form and the value is renormalized, the one path of gfun
+that still is, over denominators with several powers of one monomial.
+The last section reads a block whose ids do not start at 1, {5, 7, 9},
+from a temporary file.
 eval --multivariate --json runs up to zigzag n = 6 and three_rowed n = 4,
 the largest multivariate outputs in reach (about 7 s and 23 s on a 2-core
 Xeon, a 90,480-term numerator at zigzag n = 6), so that a change to the
@@ -109,11 +110,12 @@ def main():
         for s in STRATEGIES:
             emit("gfun %d %s" % (i, s.__name__), engine.gfun(p, strategy=s).dumps())
         emit("gfun_q %d" % i, engine.gfun_q(p).dumps())
-    for i, p in enumerate(acceptance[:40]):
-        shared = {e: mono_var("x%d" % ((e + 1) // 2)) for e in p.elements}
-        for s in STRATEGIES:
-            emit("gfun shared %d %s" % (i, s.__name__),
-                 engine.gfun(p, shared, strategy=s).dumps())
+    for k in (2, 3):
+        for i, p in enumerate(acceptance):
+            shared = {e: mono_var("x%d" % -(-e // k)) for e in p.elements}
+            for s in STRATEGIES:
+                emit("gfun shared/%d %d %s" % (k, i, s.__name__),
+                     engine.gfun(p, shared, strategy=s).dumps())
     for i, p in enumerate(wide):
         emit("wide gfun_q %d" % i, engine.gfun_q(p).dumps())
         # ple_first glues wide antichains, summing up to 2^|A| - 1 parts;
