@@ -71,9 +71,14 @@ parts are all in one variable (gfun_q's sums), read in that variable.
 Such a sum crosses between the kernels once each way: the pass that
 checks that its parts share one variable also reads them as dense
 values, and the dense result is written back as a normal form with
-its keys and sorted denominator built directly.  Both kernels bring a
-sum's parts to the common denominator with the one routine _lift, given
-the kernel's own "times (1 - m)" and addition.
+its keys and sorted denominator built directly.  The sparse kernel
+brings a sum's parts to the common denominator with _lift, which
+multiplies a factor several parts lack into their partial sum once.
+The dense kernel lifts each part on its own: a large sum packs each
+coefficient list into one int (Kronecker substitution; D. Harvey,
+J. Symbolic Comput. 44, 2009), where a product by (1 - q^k) is one
+shift and subtraction and sharing factors would save next to nothing,
+and a small one multiplies the lists.
 """
 
 from __future__ import annotations
@@ -82,6 +87,8 @@ import json
 import operator
 import random
 import re
+import sys
+from array import array
 from bisect import bisect_right
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, repeat
@@ -925,25 +932,23 @@ def rf_sum(terms):
         return dense_to_rf(dense_sum(values), v)
     common = reduce(_join, [f.den for f in terms])
     parts = [(f.num, _minus(common, f.den)) for f in terms]
-    f = _normal(_lift(parts, _times_one_minus, operator.add), tuple(common))
+    f = _normal(_lift(parts), tuple(common))
     small = sum(len(p._terms) for p, _ in parts) < len(f.num._terms)
     f._normalize(_ruled_out_on(parts) if small else None)
     return f
 
 
-def _lift(parts, times, add):
-    """Sum of num * prod of (1 - m) over m in lack, for (num, lack) pairs,
-    on either kernel: times(num, m) is num * (1 - m) and add(a, b) is
-    a + b (dense_mul_one_minus and _dense_add for dense values,
-    _times_one_minus and + for Polynomials).  No argument is changed.
+def _lift(parts):
+    """Sum of num * prod of (1 - m) over m in lack, for (num, lack) pairs
+    of Polynomials and sorted lacked factors (from _minus).  No argument
+    is changed.
 
     The factor lacked by the most parts multiplies their partial sum once,
     with one copy taken out of what each of them lacks; that repeats on
     the other parts until no factor is shared, and the rest are multiplied
     one by one.  Ties go to the factor met first in the parts' order,
-    each part's lacked factors read in their sorted order (both callers
-    take them from _minus), so the arithmetic done does not depend on
-    hash order.
+    each part's lacked factors read in their sorted order, so the
+    arithmetic done does not depend on hash order.
     """
     pieces = []
     while len(parts) > 1:
@@ -961,13 +966,13 @@ def _lift(parts, times, add):
                 inner.append((num, lack[:i] + lack[i + 1:]))
             else:
                 rest.append((num, lack))
-        pieces.append(times(_lift(inner, times, add), m))
+        pieces.append(_times_one_minus(_lift(inner), m))
         parts = rest
     for num, lack in parts:
         for m in lack:
-            num = times(num, m)
+            num = _times_one_minus(num, m)
         pieces.append(num)
-    return reduce(add, pieces)
+    return reduce(operator.add, pieces)
 
 
 def _lifted_value(parts, point, cache=None):
@@ -1239,18 +1244,104 @@ def _join(a, b):
 
 def dense_sum(values):
     """Sum of dense values over the least common denominator, as rf_sum:
-    the denominators are joined by one sorted merge each (_join), the
-    parts are lifted together by _lift on the dense operations, and the
-    sum is normalized by dense_normalize."""
+    the denominators are joined by one sorted merge each (_join), each
+    part's numerator is lifted by the factors its denominator lacks
+    (_minus), and the sum of the lifted numerators is normalized by
+    dense_normalize.
+
+    Parts holding _PACKED_AT coefficients or more in all are lifted as
+    packed ints (_packed_lift); smaller ones one factor at a time, where
+    the packing costs more than it saves.  Both give the same list.
+    """
     values = list(values)
     if not values:
         return [], ()
     if len(values) == 1:
         return values[0]
     common = reduce(_join, [den for _, den in values])
-    total = _lift([(num, _minus(common, den)) for num, den in values],
-                  dense_mul_one_minus, _dense_add)
+    parts = [(num, _minus(common, den)) for num, den in values]
+    if sum(len(num) for num, _ in parts) >= _PACKED_AT:
+        total = _packed_lift(parts)
+    else:
+        total = []
+        for num, lack in parts:
+            for k in lack:
+                num = dense_mul_one_minus(num, k)
+            total = _dense_add(total, num)
     return dense_normalize(_trim(total), common)
+
+
+_PACKED_AT = 256
+# array typecodes of signed lanes by their width in bytes
+_LANES = {array(code).itemsize: code for code in "bhilq"}
+
+
+def _packed_lift(parts):
+    """The sum of num * prod of (1 - q^k) over k in lack, for dense (num,
+    lack) parts, by Kronecker substitution: a coefficient list a is read
+    as the int a(X) at X = 2^(8 nb), each coefficient one nb-byte digit,
+    so a * (1 - q^k) is x - (x << 8 nb k) and the sum is the ints' sum.
+
+    Every coefficient of the sum is at most B = sum of max|num| *
+    2^len(lack) in absolute value, since each (1 - q^k) at most doubles
+    the largest coefficient; 8 nb >= B.bit_length() + 1 holds every one
+    as a signed digit, so no digit carries into the next.  nb is rounded
+    up to an array lane width (1, 2, 4 or 8) where one fits.
+    """
+    bound = sum(max(map(abs, num)) << len(lack) for num, lack in parts if num)
+    nb = bound.bit_length() // 8 + 1
+    if nb <= 8:
+        nb = 1 << (nb - 1).bit_length()
+    bits = 8 * nb
+    size = max(len(num) + sum(lack) for num, lack in parts)
+    total = 0
+    for num, lack in parts:
+        if num:
+            x = _kron_pack(num, nb)
+            for k in lack:
+                x -= x << (bits * k)
+            total += x
+    return _kron_unpack(total, nb, size)
+
+
+def _signs(nb, n):
+    """The int of n nb-byte digits, each holding only its sign bit."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+
+
+def _kron_pack(a, nb):
+    """The coefficient list a as the int a(2^(8 nb)), every |a_i| below
+    2^(8 nb - 1).  Each digit is written in two's complement; flipping its
+    sign bit adds 2^(8 nb - 1) to it, which the subtraction takes out
+    again with its borrows."""
+    code = _LANES.get(nb)
+    if code is None:
+        data = b"".join([c.to_bytes(nb, "little", signed=True) for c in a])
+    else:
+        lanes = array(code, a)
+        if sys.byteorder != "little":
+            lanes.byteswap()
+        data = lanes.tobytes()
+    signs = _signs(nb, len(a))
+    return (int.from_bytes(data, "little") ^ signs) - signs
+
+
+def _kron_unpack(x, nb, size):
+    """The size coefficients of x = a(2^(8 nb)), the inverse of _kron_pack:
+    adding 2^(8 nb - 1) to every digit makes each one non-negative, so
+    none borrows from the next, and flipping the sign bits leaves each
+    digit in two's complement."""
+    signs = _signs(nb, size)
+    data = ((x + signs) ^ signs).to_bytes(nb * size, "little")
+    code = _LANES.get(nb)
+    if code is None:
+        return [int.from_bytes(data[i:i + nb], "little", signed=True)
+                for i in range(0, len(data), nb)]
+    lanes = array(code)
+    lanes.frombytes(data)
+    if sys.byteorder != "little":
+        lanes.byteswap()
+    return lanes.tolist()
 
 
 def dense_to_rf(value, v=Q):

@@ -1,5 +1,4 @@
 import json
-import operator
 from collections import Counter
 from unittest import mock
 
@@ -655,7 +654,7 @@ def test_sparse_lift_matches_lifting_each_part(data):
     before = [(dict(num.terms), list(lack)) for num, lack in parts]
     total = sum((lifted(num, den, common) for num, den in drawn),
                 Polynomial.zero())
-    assert algebra._lift(parts, algebra._times_one_minus, operator.add) == total
+    assert algebra._lift(parts) == total
     assert [(num.terms, lack) for num, lack in parts] == before
 
 
@@ -836,6 +835,51 @@ def test_dense_sum_lifts_shared_factors_as_rf_sum(data):
     assert dense_to_rf(dense_sum(dense)) == fully_normalized_sum(sparse)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_dense_sum_matches_sparse(data):
+    # 2-4 parts of 129 coefficients or more, so that the sum is lifted as
+    # packed ints, with coefficients up to 2^200 and a few zero numerators
+    # over shared denominators of DIVISOR_KS; the negation of one part or
+    # of all of them may follow, so that the sum cancels in part or to 0
+    dens = data.draw(st.lists(st.lists(st.sampled_from(DIVISOR_KS), max_size=5),
+                              min_size=1, max_size=3))
+    drawn = data.draw(st.lists(st.tuples(long_q_polynomials(),
+                                         st.sampled_from(dens)),
+                               min_size=2, max_size=4))
+    drawn += data.draw(st.lists(st.tuples(st.just(Polynomial.zero()),
+                                          st.sampled_from(dens)), max_size=2))
+    cancel = data.draw(st.sampled_from(("none", "one", "all")))
+    if cancel == "one":
+        drawn.append((-drawn[0][0], drawn[0][1]))
+    elif cancel == "all":
+        drawn += [(-p, ks) for p, ks in drawn]
+    dense = [(q_coeffs(p), tuple(sorted(ks))) for p, ks in drawn]
+    assert sum(len(num) for num, _ in dense) >= algebra._PACKED_AT
+    sparse = [unnormalized(p, q_den(ks)) for p, ks in drawn]
+    assert dense_to_rf(dense_sum(dense)) == fully_normalized_sum(sparse)
+    if cancel == "all":
+        assert dense_sum(dense) == ([], ())
+
+
+# B.bit_length() + 1 = 8, 9, 16, 17, 32, 33, 64, 65: each bound B needs one
+# bit more than a lane of 1, 2, 4 or 8 bytes holds as a signed digit, or
+# all of one
+@pytest.mark.parametrize("bound", (2**7 - 1, 2**7, 2**15 - 1, 2**15,
+                                   2**31 - 1, 2**31, 2**63 - 1, 2**63))
+def test_packed_dense_sum_at_the_digit_width_edges(bound):
+    # the sum's coefficient of q is -sign * B exactly: p + 2r with the
+    # second part lacking (1 - q); 258 coefficients in all
+    r = bound // 4
+    p = bound - 2 * r
+    for sign in (1, -1):
+        first = ([sign * p, -sign * p] + [0] * 253 + [sign], (1,))
+        second = ([sign * r, -sign * r], ())
+        expected = ([sign * (p + r), -sign * bound, sign * r] + [0] * 252
+                    + [sign])
+        assert dense_sum([first, second]) == (expected, (1,))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from(("q", "x1")))
 def test_one_variable_sums_run_dense(data, v):
@@ -994,6 +1038,21 @@ def _q_polynomial(drawn):
     for k in ks:
         p = p * one_minus(mono_var("q", k))
     return p
+
+
+def long_q_polynomials():
+    """Polynomials in q of degree 128 to 300, a few terms below q^128
+    and one at the top, coefficients small or up to 2^200, times a few
+    (1 - q^k)."""
+    coefficient = st.one_of(st.integers(min_value=-4, max_value=4),
+                            st.integers(min_value=-2**200, max_value=2**200))
+    top = st.tuples(st.integers(min_value=128, max_value=300),
+                    coefficient.filter(bool))
+    term = st.tuples(st.integers(min_value=0, max_value=127), coefficient)
+    return st.tuples(top, st.lists(term, max_size=5),
+                     st.lists(st.integers(min_value=1, max_value=4),
+                              max_size=3)).map(
+        lambda drawn: _q_polynomial(([drawn[0]] + drawn[1], drawn[2])))
 
 
 def q_rational_parts():

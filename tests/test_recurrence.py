@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ppgf import algebra
 from ppgf.algebra import (RationalFunction, mono, mono_subst, mono_var,
                           parse_rational, rf_eq, rf_sum)
 from ppgf.engine import gfun, gfun_q
@@ -46,6 +47,25 @@ def test_zigzag_matches_engine():
     for n in range(1, 5):
         x, _ = deco.assemble(n)
         assert rf_eq(sys_.evaluate(n), gfun_q(x))
+
+
+def test_zigzag_packed_sums_match_the_list_loop(monkeypatch):
+    # zigzag n = 16's large sums pack digits of more than 8 bytes; with
+    # packing out of reach every sum takes the list loop
+    widths = []
+    unpack = algebra._kron_unpack
+
+    def spy(x, nb, size):
+        widths.append(nb)
+        return unpack(x, nb, size)
+
+    monkeypatch.setattr(algebra, "_kron_unpack", spy)
+    packed = discover_states(zigzag_block()).evaluate(16).dumps()
+    assert max(widths) > 8
+    widths.clear()
+    monkeypatch.setattr(algebra, "_PACKED_AT", float("inf"))
+    assert discover_states(zigzag_block()).evaluate(16).dumps() == packed
+    assert not widths
 
 
 # -- three-rowed: the single chain-1 state with a 4-term transition -----------
