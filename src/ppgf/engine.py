@@ -46,13 +46,18 @@ the first 100 posets of the acceptance corpus under all three
 strategies, keying on the values at distinct variables took 4.3-4.6 s
 against 2.9-3.5 s keyed on structure (2-core Xeon), while structure keys
 would build the full multivariate value of every subposet of an all-q
-input.
+input.  gfun_at still meets one structure under many bindings (33,146
+steps over 2,467 keys on the benchmark's 100 wide posets), so it plans
+each structure once: the strategy and the identity run at the
+positional variables, and each binding replays that right-hand side by
+position.  Both memos thus rely on a strategy's choice depending only on
+the rank order of the ids.
 """
 
 from __future__ import annotations
 
-from .algebra import (RationalFunction, Polynomial, _substituted, mono_var,
-                      mono_mul, rf_sum)
+from .algebra import (RationalFunction, Polynomial, _mono_key, _substituted,
+                      mono_var, mono_mul, rf_sum)
 
 
 class NotRemovable(ValueError):
@@ -70,6 +75,9 @@ def _check_binding(monos):
 
 
 # -- strategies: poset -> ("delete", element) | ("ple", antichain) | None --
+# A strategy's choice may depend only on the order of the ids, never on
+# their values: gfun and gfun_at reuse it for every poset with the same
+# Poset.key, mapped rank for rank.
 
 def _smallest_pair(p, reverse=False):
     """The lexicographically first 2-antichain as a sorted pair (the last
@@ -235,21 +243,84 @@ def gfun_at(p, monos, strategy=default_strategy):
 
     Equal to gfun(p, monos), but keeps every intermediate value in the
     target variables, which is exponentially smaller when many elements
-    share a variable (the all-q case).
+    share a variable (the all-q case).  Inside the recursion a binding is
+    the tuple of monomials aligned with the poset's elements.
+
+    The strategy and the identity run once per structure (Poset.key):
+    the first time a structure is met, _plan records its right-hand side
+    with each monomial as the positions of the elements whose monomials
+    multiply to it, and every binding of that structure replays the plan
+    (_bound).  This relies on the strategy's choice depending only on the
+    rank order of the ids, as gfun's memo does and every strategy here
+    satisfies.
     """
     _check_binding(monos)
     memo = {}
+    plans = {}
+    shapes = {}
 
-    def go(q, qmonos):
+    def go(q, at):
         if not q.elements:
             return RationalFunction.one()
-        key = (q.key, tuple(map(qmonos.__getitem__, q.elements)))
+        key = (q.key, at)
         f = memo.get(key)
         if f is None:
-            f = memo[key] = _step(q, qmonos, strategy, go)
+            plan = plans.get(q.key)
+            if plan is None:
+                plan = plans[q.key] = _plan(q, strategy, shapes)
+            f = memo[key] = _evaluate(_bound(plan, at), go)
         return f
 
-    return go(p, monos)
+    return go(p, tuple(monos[e] for e in p.elements))
+
+
+def _plan(q, strategy, shapes):
+    """The right-hand side of strategy's step on q, read off the identity
+    at the positional variables v0, v1, ..., with each monomial given by
+    the positions in q.elements of the elements whose monomials multiply
+    to it: the denominator (None for gluing), then per term (sign,
+    multiplier, child, picks, joins), where the image of the child's j-th
+    element is the monomial at position picks[j] times the one at i for
+    each (j, i) in joins.  Each child is the first poset met with its
+    structure (shapes), so the plans hold one poset per structure."""
+    canon = [mono_var("v%d" % i) for i in range(len(q.elements))]
+    single = {m: (i,) for i, m in enumerate(canon)}
+    kind, arg = strategy(q)
+    rhs = deletion_rhs if kind == "delete" else gluing_rhs
+    den, terms = rhs(q, arg, dict(zip(q.elements, canon)))
+
+    def positions(m):
+        # most monomials are one positional variable; a product is decoded
+        return single.get(m) or tuple(int(v[1:]) for v, e in _mono_key(m)
+                                      for _ in range(e))
+
+    plan = []
+    for sign, mult, child, child_monos in terms:
+        images = [positions(child_monos[e]) for e in child.elements]
+        plan.append((sign, positions(mult), shapes.setdefault(child.key, child),
+                     tuple(image[0] for image in images),
+                     tuple((j, i) for j, image in enumerate(images)
+                           for i in image[1:])))
+    return (None if den is None else positions(den)), plan
+
+
+def _product(positions, at):
+    m = 0
+    for i in positions:
+        m = mono_mul(m, at[i])
+    return m
+
+
+def _bound(plan, at):
+    """The right-hand side a plan stands for at the binding at."""
+    den, terms = plan
+    bound = []
+    for sign, mult, child, picks, joins in terms:
+        images = [at[i] for i in picks]
+        for j, i in joins:
+            images[j] = mono_mul(images[j], at[i])
+        bound.append((sign, _product(mult, at), child, tuple(images)))
+    return (None if den is None else _product(den, at)), bound
 
 
 def gfun_q(p, strategy=default_strategy):

@@ -24,14 +24,15 @@ from ppgf.recurrence import FrontierState, discover_states
 CORPUS_SEED = 20250810
 
 
-def corpus(count=200, max_size=7, seed=CORPUS_SEED):
-    """Random acyclic cover sets on up to max_size elements, seeded."""
+def corpus(count=200, max_size=7, seed=CORPUS_SEED, min_size=1, prob=0.5):
+    """Random acyclic cover sets on min_size to max_size elements, each
+    pair a cover candidate with probability prob, seeded."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        n = rng.randint(1, max_size)
+        n = rng.randint(min_size, max_size)
         covers = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                  if rng.random() < 0.5]
+                  if rng.random() < prob]
         out.append(Poset.build(range(1, n + 1), covers))
     return out
 

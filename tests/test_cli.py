@@ -170,11 +170,19 @@ def test_bad_elements_line_exit_code(capsys, tmp_path, text, message):
 
 
 def test_too_deep_for_the_recursion_exit_code(capsys):
-    # the engine recurses once per element, so a 400-element antichain is
+    # the engine recurses once per element, so a 1000-element antichain is
     # past the default recursion limit
-    code, out, err = run(capsys, "qgfun", "--family", "antichain", "--n", "400")
+    code, out, err = run(capsys, "qgfun", "--family", "antichain", "--n", "1000")
     assert code == 2 and out == ""
     assert err == "error: input too deep for the recursion\n"
+
+
+def test_qgfun_of_a_400_element_antichain(capsys):
+    # gfun_at takes two stack frames per element: 400 elements fit under
+    # the default recursion limit
+    code, out, _ = run(capsys, "qgfun", "--family", "antichain", "--n", "400")
+    assert code == 0
+    assert parse_rational(out.strip()) == RationalFunction(1, [mono_var("q")] * 400)
 
 
 def test_eval_has_no_depth_limit(capsys, tmp_path):

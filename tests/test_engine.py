@@ -270,3 +270,87 @@ def test_memo_is_shared_and_consistent():
     assert memo
     f2 = gfun(diamond(), memo=memo)
     assert f1 == f2
+
+
+# -- the strategy contract and gfun_at's plans ----------------------------------
+
+def relabeled(p, f):
+    """p with each id e renamed f(e), f increasing."""
+    return Poset.build(map(f, p.elements), {(f(x), f(y)) for x, y in p.covers})
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_strategies_depend_only_on_the_rank_order(p):
+    # both memos key on Poset.key, so a relabeling that keeps the order of
+    # the ids has to map each strategy's choice to its choice on the result
+    def f(e):
+        return 3 * e + 5
+
+    q = relabeled(p, f)
+    assert q.key == p.key
+    for strategy in STRATEGIES:
+        choice = strategy(p)
+        if choice is None:
+            assert strategy(q) is None
+        else:
+            kind, arg = choice
+            arg = f(arg) if kind == "delete" else tuple(map(f, arg))
+            assert strategy(q) == (kind, arg)
+
+
+def unplanned_gfun_at(p, monos, strategy, reached):
+    """gfun_at without plans: the strategy and the identity run at every
+    (Poset.key, binding), each appended to reached."""
+    memo = {}
+
+    def go(q, qmonos):
+        if not q.elements:
+            return RationalFunction.one()
+        key = (q.key, tuple(qmonos[e] for e in q.elements))
+        f = memo.get(key)
+        if f is None:
+            reached.append(key)
+            f = memo[key] = engine._step(q, qmonos, strategy, go)
+        return f
+
+    return go(p, monos)
+
+
+def counted(strategy, keys):
+    def choose(q):
+        keys.append(q.key)
+        return strategy(q)
+    return choose
+
+
+WIDE = corpus(8, 12, min_size=10, prob=0.35)
+
+
+@pytest.mark.parametrize("p", [WIDE[0], WIDE[3],
+                               relabeled(WIDE[6], lambda e: e * e + 4)])
+def test_gfun_at_plans_each_structure_once(p):
+    # the benchmark's wide posets; the last on the ids 5, 8, 13, ..., 148
+    q = mono_var("q")
+    all_q = {e: q for e in p.elements}
+    for strategy in (default_strategy, reversed_strategy):
+        keys, reached = [], []
+        f = gfun_q(p, strategy=counted(strategy, keys))
+        expected = unplanned_gfun_at(p, all_q, strategy, reached)
+        assert f.dumps() == expected.dumps()
+        assert sorted(keys) == sorted({key for key, _ in reached})
+        assert len(reached) > len(keys)
+
+
+def test_gfun_at_plans_on_ids_that_are_not_contiguous():
+    p = relabeled(fan5(), lambda e: 2 ** e + 3)
+    assert p.elements == (5, 7, 11, 19, 35)
+    monos = {e: mono_var("y%d" % (i % 2), i + 1) for i, e in enumerate(p.elements)}
+    keys = []
+    f = gfun_at(p, monos, strategy=counted(default_strategy, keys))
+    assert len(keys) == len(set(keys))
+    expected = gfun(fan5()).substitute(
+        {"x%d" % i: m for i, m in enumerate(monos.values(), 1)})
+    assert rf_eq(f, expected)
+    assert rf_eq(gfun_q(p), gfun(p).substitute(
+        {"x%d" % e: mono_var("q") for e in p.elements}))
