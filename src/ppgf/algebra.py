@@ -62,7 +62,13 @@ the result leaves a field.  RationalFunction.substitute
 renormalizes unless keeps_normal_form shows that the substitution
 keeps every normal form; engine.gfun's inner lookups, whose bindings
 always keep it, use _substituted, the same substitution without the
-check.
+check.  _substituted prepares the substitution once, for the
+numerator (through Polynomial.substitute) and the denominator alike:
+a pair already prepared passes through _substitution unchanged.
+gfun's inner lookups arrive prepared by position
+(_positional_substitution): the images of v0, v1, ... in order, each
+variable's shift and monomial read from a table of the positional
+variables rather than from its name.
 
 Rational functions in q alone also have a dense form, a coefficient list
 over a tuple of exponents, with its own arithmetic (the dense_* functions);
@@ -213,19 +219,45 @@ def _substitution(sub):
     of x_i by e copies of its image adds e times its difference, and
     below the cap no field of the result can leave its range, since the
     result's degree is at most the monomial's times the largest
-    image's."""
+    image's.  A pair already prepared is returned unchanged."""
+    if type(sub) is tuple:
+        return sub
+    return _prepared((_field(i), img) for v, img in sub.items()
+                     if (i := _INDEX.get(v)) is not None)
+
+
+def _field(i):
+    """(shift, monomial) of the variable of index i."""
+    s = _W * (i + 1)
+    return s, (1 << s) + 1
+
+
+def _prepared(pairs):
+    """The (deltas, cap) pair of _substitution from ((shift, x_i), image)
+    pairs, one for each variable x_i the substitution names."""
     deltas = []
     top = 1
-    for v, img in sub.items():
-        i = _INDEX.get(v)
-        if i is not None:
-            s = _W * (i + 1)
-            d = img - (1 << s) - 1
-            if d:
-                deltas.append((s, d))
-                if img & _MASK > top:
-                    top = img & _MASK
+    for (s, x), img in pairs:
+        d = img - x
+        if d:
+            deltas.append((s, d))
+            if img & _MASK > top:
+                top = img & _MASK
     return deltas, _LIMIT // top
+
+
+# _field of each positional variable v0, v1, ..., interned in that order
+# the first time a substitution reaches its position
+_POSITIONS = []
+
+
+def _positional_substitution(images):
+    """_substitution({"v0": images[0], "v1": images[1], ...}), read off
+    the table of the positional variables' fields instead of formatting
+    and looking up each name."""
+    while len(_POSITIONS) < len(images):
+        _POSITIONS.append(_field(_index("v%d" % len(_POSITIONS))))
+    return _prepared(zip(_POSITIONS, images))
 
 
 def _subst(m, sub):
@@ -782,8 +814,13 @@ class RationalFunction:
         """Simultaneous multiplicative substitution of variables by monomials.
 
         The result is renormalized unless keeps_normal_form(sub, variables)
-        holds, in which case it is already a normal form.
+        holds, in which case it is already a normal form.  sub must be a
+        dict: keeps_normal_form reads its names, so a pair prepared by
+        _substitution raises TypeError.
         """
+        if type(sub) is tuple:
+            raise TypeError("RationalFunction.substitute takes a dict "
+                            "{name: monomial}, not a prepared substitution")
         f = _substituted(self, sub)
         if not keeps_normal_form(sub, self.variables()):
             f._normalize()
@@ -791,21 +828,36 @@ class RationalFunction:
 
     def series(self, bound):
         """Taylor expansion at 0 truncated to total degree <= bound.
-        A negative bound raises ValueError."""
+        A negative bound raises ValueError, and one of 2^(W-3) or more,
+        past every degree a monomial can hold, MonomialOverflow unless
+        den is empty.
+
+        The numerator's terms of degree <= bound are bucketed by degree,
+        and each factor (1 - m) is divided out by one pass of running
+        sums, s_d += m * s_(d - deg m) for d ascending: every term of
+        degree d, times m, is added into degree d + deg(m), so each
+        degree is complete before it is read.  Zero coefficients are
+        dropped once, at the end."""
         if bound < 0:
             raise ValueError("negative truncation bound %d" % bound)
-        out = self.num.truncate(bound)
+        if not self.den:
+            return self.num.truncate(bound)
+        if bound >= _LIMIT:
+            raise _overflow(bound)
+        layers = [{} for _ in range(bound + 1)]
+        for m, c in self.num._terms.items():
+            d = m & _MASK
+            if d <= bound:
+                layers[d][m] = c
         for m in self.den:
-            dm = mono_deg(m)
-            geo = {0: 1}
-            mk = m
-            k = dm
-            while k <= bound:
-                geo[mk] = 1
-                mk = mono_mul(mk, m)
-                k += dm
-            out = _trunc_mul(out, _poly(geo), bound)
-        return out
+            dm = m & _MASK
+            for d in range(bound + 1 - dm):
+                # degree d + dm <= bound, so m adds without leaving a field
+                up = layers[d + dm]
+                for t, c in layers[d].items():
+                    t += m
+                    up[t] = up.get(t, 0) + c
+        return _poly({t: c for layer in layers for t, c in layer.items() if c})
 
     def variables(self):
         """The variables of the numerator and the denominator, as a
@@ -872,9 +924,11 @@ def _normal(num, den):
 def _substituted(f, sub):
     """f under sub, not renormalized: a normal form where sub keeps it
     (keeps_normal_form), as every binding engine.gfun builds inside its
-    recursion does.  The numerator goes through Polynomial.substitute."""
-    num = f.num.substitute(sub)
+    recursion does.  sub, a dict or a pair already prepared, is prepared
+    once for the numerator, which goes through Polynomial.substitute, and
+    the denominator."""
     prepared = _substitution(sub)
+    num = f.num.substitute(prepared)
     den = []
     for m in f.den:
         m2 = _subst(m, prepared)
@@ -883,22 +937,6 @@ def _substituted(f, sub):
         den.append(m2)
     den.sort()
     return _normal(num, tuple(den))
-
-
-def _trunc_mul(a, b, bound):
-    out = {}
-    for ma, ca in a._terms.items():
-        da = mono_deg(ma)
-        for mb, cb in b._terms.items():
-            if da + mono_deg(mb) > bound:
-                continue
-            m = mono_mul(ma, mb)
-            s = out.get(m, 0) + ca * cb
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return _poly(out)
 
 
 def rf_sum(terms):

@@ -30,7 +30,10 @@ keys on Poset.key, the up-set bitmasks over the ranks of the element ids,
 which is equal for two posets exactly when relabeling one by rank gives
 the other; so branches that build one structure under different
 bindings share the work.  It stores each value in positional variables
-v0, v1, ... and substitutes the binding into it on every lookup.  The
+v0, v1, ... and substitutes the binding into it on every lookup.  An
+inner lookup prepares its substitution once, by position
+(algebra._positional_substitution of the images in element order), with
+no variable name formatted or looked up.  The
 normal-form check (algebra.keeps_normal_form) runs once per gfun call,
 at the caller's binding, in RationalFunction.substitute, which
 renormalizes where it fails.  Every inner lookup's binding is built by
@@ -56,8 +59,9 @@ the rank order of the ids.
 
 from __future__ import annotations
 
-from .algebra import (RationalFunction, Polynomial, _mono_key, _substituted,
-                      mono_var, mono_mul, rf_sum)
+from .algebra import (RationalFunction, Polynomial, _mono_key,
+                      _positional_substitution, _substituted, mono_var,
+                      mono_mul, rf_sum)
 
 
 class NotRemovable(ValueError):
@@ -116,13 +120,23 @@ def ple_first_strategy(p):
     costs 2^|A| - 1 branches and is slower than the pairwise default (on
     the 200-poset acceptance corpus, 2.8 s against 0.5 s on a 2-core
     Xeon); it is kept as a third path, independent of the other two, for
-    the cross-checks that every strategy gives the same function."""
+    the cross-checks that every strategy gives the same function.
+
+    The search keeps the first antichain of each size 2, 3, ... and stops
+    at the first size with none, since every subset of an antichain is
+    one: the last kept is the lexicographically first of maximum size,
+    and no size past the width but one is searched."""
     if not p.elements:
         return None
-    for k in range(len(p.elements), 1, -1):
-        for a in p.antichains_of_size(k):
-            return ("ple", tuple(sorted(a)))
-    return ("delete", min(p.removable_elements()))
+    widest = None
+    for k in range(2, len(p.elements) + 1):
+        a = next(p.antichains_of_size(k), None)
+        if a is None:
+            break
+        widest = a
+    if widest is None:
+        return ("delete", min(p.removable_elements()))
+    return ("ple", tuple(sorted(widest)))
 
 
 # -- the two identities --------------------------------------------------
@@ -217,7 +231,8 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
     def go(q, qmonos):
         if not q.elements:
             return RationalFunction.one()
-        return _substituted(template(q), _positional(q, qmonos))
+        return _substituted(template(q), _positional_substitution(
+            [qmonos[e] for e in q.elements]))
 
     def template(q):
         f = memo.get(q.key)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Polynomial, _layout, mono_mul, mono_pow, mono_var
+from .algebra import Polynomial, _layout, mono_pow, mono_var
 
 
 def _linear_extension(p):
@@ -56,12 +56,20 @@ def enumerate_ppartitions(p, bound):
 
 def truncated_gf(p, bound):
     """Sum of prod x_a^sigma(a) over the enumerated maps, keeping the terms
-    of total degree <= bound.  A negative bound raises ValueError."""
+    of total degree <= bound.  A negative bound raises ValueError.
+
+    The same backtracking as enumerate_ppartitions, with each element's
+    powers x_e^0 ... x_e^bound made once.  Making x_e^bound checks that
+    the degree bound fits its packed field, so every product below, of
+    degree at most bound, is a plain sum of packed monomials."""
     if bound < 0:
         raise ValueError("negative truncation bound %d" % bound)
     order = _linear_extension(p)
     lowers = {e: p.lower_covers(e) for e in order}
-    xs = {e: mono_var("x%d" % e) for e in order}
+    powers = {}
+    for e in order:
+        x = mono_var("x%d" % e)
+        powers[e] = [mono_pow(x, v) for v in range(bound + 1)]
     terms = {}
     sigma = {}
 
@@ -73,7 +81,7 @@ def truncated_gf(p, bound):
         ub = min((sigma[a] for a in lowers[e]), default=bound)
         for v in range(min(ub, bound - total) + 1):
             sigma[e] = v
-            assign(i + 1, total + v, mono_mul(m, mono_pow(xs[e], v)))
+            assign(i + 1, total + v, m + powers[e][v])
         del sigma[e]
 
     assign(0, 0, 0)

@@ -3,7 +3,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppgf import algebra
 from ppgf.algebra import (DenominatorCollapse, MonomialOverflow, ParseError,
@@ -332,6 +332,40 @@ def test_series_agrees_with_long_division(data):
     f = data.draw(rationals())
     bound = data.draw(st.integers(min_value=0, max_value=8))
     assert f.series(bound) == _series_by_long_division(f, bound)
+
+
+@st.composite
+def repeated_factor_quotients(draw):
+    """(num, den) with den's factors repeated up to three times and num
+    a polynomial times some of them, so that num / den is not reduced
+    and the running sums meet coefficients that cancel."""
+    den = []
+    for m in draw(st.lists(monomials(nonempty=True), min_size=1, max_size=3)):
+        den += [m] * draw(st.integers(min_value=1, max_value=3))
+    num = draw(polynomials())
+    for m in den:
+        if draw(st.booleans()):
+            num = num * one_minus(m)
+    return num, tuple(sorted(den))
+
+
+@settings(max_examples=30, deadline=None)
+@given(repeated_factor_quotients(), st.integers(min_value=0, max_value=12))
+def test_series_with_repeated_factors_agrees_with_long_division(quotient, bound):
+    num, den = quotient
+    f = algebra._normal(num, den)
+    expected = _series_by_long_division(f, bound)
+    assert f.series(bound) == expected
+    assert RationalFunction(num, den).series(bound) == expected
+
+
+def test_series_past_the_degree_field_raises():
+    f = R("1/(1-q)")
+    assert f.series(3) == P("1 + q + q^2 + q^3")
+    with pytest.raises(MonomialOverflow):
+        f.series(algebra._LIMIT)
+    # with no factor left the series is the numerator, at any bound
+    assert R("1 + q").series(algebra._LIMIT) == P("1 + q")
 
 
 @settings(max_examples=40, deadline=None)
@@ -1289,6 +1323,97 @@ def test_identity_substitution_copies_the_terms():
     same = p.substitute({v: mono_var(v) for v in ("x1", "x2", "x3", "y1")})
     assert same == p
     assert same._terms is not p._terms
+
+
+@st.composite
+def positional_images(draw):
+    """Images of v0, v1, ..., each the position's own variable, 1, a
+    kernel monomial, or a power of y1 of degree up to 2^(W-3) - 1, so
+    that the degree cap reaches 1."""
+    images = []
+    for i in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(("itself", "one", "image", "image", "high")))
+        images.append(
+            mono_var("v%d" % i) if kind == "itself" else
+            mono() if kind == "one" else
+            mono_var("y1", draw(st.integers(min_value=1,
+                                            max_value=algebra._LIMIT - 1)))
+            if kind == "high" else draw(kernel_monomials()))
+    return images
+
+
+@settings(max_examples=300, deadline=None)
+@example(images=[], pairs=[(0, 1)])
+@example(images=[mono_var("v0"), mono_var("y1", algebra._LIMIT - 1)],
+         pairs=[(0, 3), (1, 1)])
+@example(images=[mono_var("v0"), mono_var("y1", algebra._LIMIT - 1)],
+         pairs=[(1, 2)])
+@given(positional_images(), st.lists(
+    st.tuples(st.integers(min_value=0, max_value=7),
+              st.integers(min_value=0, max_value=3)), max_size=4))
+def test_positional_substitution_equals_the_named_one(images, pairs):
+    prepared = algebra._positional_substitution(images)
+    sub = {"v%d" % i: m for i, m in enumerate(images)}
+    assert prepared == algebra._substitution(sub)
+    assert algebra._substitution(prepared) is prepared
+    m = mono([("v%d" % i, e) for i, e in pairs])
+    try:
+        expected = mono_subst(m, sub)
+    except MonomialOverflow:
+        with pytest.raises(MonomialOverflow):
+            algebra._subst(m, prepared)
+    else:
+        assert algebra._subst(m, prepared) == expected
+        assert (Polynomial.term(m, 2).substitute(prepared)
+                == Polynomial.term(expected, 2))
+
+
+def test_positional_substitution_raises_exactly_past_a_field():
+    limit = algebra._LIMIT
+    z2 = algebra._positional_substitution([mono_var("z", 2)])
+    for k in (limit // 2 - 2, limit // 2 - 1):
+        m = mono({"v0": k, "y": 1})
+        want = mono({"z": 2 * k, "y": 1})
+        assert algebra._subst(m, z2) == want
+        assert Polynomial.term(m, 3).substitute(z2) == Polynomial.term(want, 3)
+    too_big = mono({"v0": limit // 2 - 1, "y": 2})
+    with pytest.raises(MonomialOverflow):
+        algebra._subst(too_big, z2)
+    with pytest.raises(MonomialOverflow):
+        Polynomial.term(too_big).substitute(z2)
+    # v1 sent to 1 after v0 is doubled: the result must fit, not a
+    # partial product
+    m = mono({"v0": limit // 4, "v1": limit // 2})
+    sub = algebra._positional_substitution([mono_var("a", 2), mono()])
+    assert algebra._subst(m, sub) == mono_var("a", limit // 2)
+
+
+def test_substituted_prepares_each_substitution_once(monkeypatch):
+    f = R("(1 + x1*x2)/((1-x1)(1-x1*x2)(1-x2^2))")
+    sub = {"x1": mono_var("y"), "x2": mono({"y": 1, "z": 1})}
+    expected = f.substitute(sub)
+    calls = []
+    substitution = algebra._substitution
+
+    def spy(s):
+        out = substitution(s)
+        calls.append((s, out))
+        return out
+
+    monkeypatch.setattr(algebra, "_substitution", spy)
+    assert algebra._substituted(f, sub) == expected
+    assert [s for s, _ in calls if isinstance(s, dict)] == [sub]
+    prepared = calls[0][1]
+    assert all(s is prepared and out is prepared for s, out in calls[1:])
+
+
+def test_rational_substitute_rejects_a_prepared_pair():
+    # keeps_normal_form reads the names, which a prepared pair has lost
+    f = R("1/((1-x1)(1-x2))")
+    prepared = algebra._substitution({"x1": mono_var("y"), "x2": mono_var("y")})
+    with pytest.raises(TypeError):
+        f.substitute(prepared)
+    assert f.num.substitute(prepared) == f.num
 
 
 _INTERNING_SCRIPT = """

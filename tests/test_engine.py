@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppgf import engine
+from ppgf import algebra, engine
 from ppgf.algebra import (RationalFunction, keeps_normal_form, mono, mono_var,
                           parse_rational, rf_eq)
 from ppgf.engine import (NotRemovable, apply_deletion, apply_ple,
@@ -145,21 +145,48 @@ STRATEGIES = (default_strategy, reversed_strategy, ple_first_strategy)
 
 def test_inner_lookups_keep_the_normal_form(monkeypatch):
     # only the outermost lookup asks keeps_normal_form; every binding the
-    # recursion builds must pass it
+    # recursion builds must pass it.  Inner lookups reach _substituted
+    # prepared by position, so each is named back to v0, v1, ... from the
+    # images _positional_substitution saw; preparing by name happens only
+    # at the caller's binding, once per gfun call
+    images = {}
     inner = []
+    named = []
+    positional = engine._positional_substitution
     substituted = engine._substituted
+    substitution = algebra._substitution
 
-    def recording(f, sub):
+    def recording_positional(imgs):
+        out = positional(imgs)
+        images[id(out)] = (out, imgs)
+        return out
+
+    def recording_substituted(f, sub):
         inner.append((f, sub))
         return substituted(f, sub)
 
-    monkeypatch.setattr(engine, "_substituted", recording)
+    def recording_substitution(sub):
+        out = substitution(sub)
+        if out is not sub:
+            named.append(sub)
+        return out
+
+    monkeypatch.setattr(engine, "_positional_substitution", recording_positional)
+    monkeypatch.setattr(engine, "_substituted", recording_substituted)
+    monkeypatch.setattr(algebra, "_substitution", recording_substitution)
+    roots = 0
     for p in corpus(40):
         for strategy in STRATEGIES:
             gfun(p, strategy=strategy)
+            # the empty poset's value is 1, with no lookup
+            roots += bool(p.elements)
     assert len(inner) > 1000
+    assert len(named) == roots
     for f, sub in inner:
-        assert keeps_normal_form(sub, f.variables())
+        prepared, imgs = images[id(sub)]
+        assert prepared is sub
+        assert keeps_normal_form({"v%d" % i: m for i, m in enumerate(imgs)},
+                                 f.variables())
 
 
 def test_shared_variable_bindings_renormalize_at_the_outer_lookup():
@@ -173,6 +200,28 @@ def test_shared_variable_bindings_renormalize_at_the_outer_lookup():
                 expected = gfun(p, strategy=strategy).substitute(sub)
                 assert f == expected
                 assert rf_eq(f, expected)
+
+
+def _widest_antichain_descending(p):
+    """The reference search: the first antichain of the largest size that
+    has one, trying sizes from |P| down to 2."""
+    for k in range(len(p.elements), 1, -1):
+        for a in p.antichains_of_size(k):
+            return tuple(sorted(a))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets(max_size=9))
+def test_ple_first_glues_the_first_widest_antichain(p):
+    widest = _widest_antichain_descending(p)
+    choice = ple_first_strategy(p)
+    if not p.elements:
+        assert choice is None
+    elif widest is None:
+        assert choice == ("delete", min(p.removable_elements()))
+    else:
+        assert choice == ("ple", widest)
 
 
 def test_gfun_rejects_constant_monomial():
