@@ -199,12 +199,6 @@ def apply_ple(p, antichain, monos, recur):
     return _evaluate(gluing_rhs(p, antichain, monos), recur)
 
 
-def _step(q, monos, strategy, recur):
-    kind, arg = strategy(q)
-    apply = apply_deletion if kind == "delete" else apply_ple
-    return apply(q, arg, monos, recur)
-
-
 # -- the two recursions ----------------------------------------------------
 
 def gfun(p, monos=None, strategy=default_strategy, memo=None):
@@ -238,7 +232,9 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
         f = memo.get(q.key)
         if f is None:
             canon = {e: mono_var("v%d" % i) for i, e in enumerate(q.elements)}
-            f = memo[q.key] = _step(q, canon, strategy, go)
+            kind, arg = strategy(q)
+            apply = apply_deletion if kind == "delete" else apply_ple
+            f = memo[q.key] = apply(q, arg, canon, go)
         return f
 
     if not p.elements:

@@ -1,17 +1,20 @@
 """Named poset families used by the CLI, the demos and the test suite.
 
 Each family is pinned to an exact element numbering so that printed
-formulas and golden tests are reproducible: blocks are numbered 1..m,
-copies bottom-up, copy k's element e gets id e + (k-1)*m, an optional
-seed poset keeps its own ids at the bottom and an optional tail poset is
-shifted past the last copy.
+formulas and golden tests are reproducible.  BlockDecomposition.assemble
+stacks an optional seed, the block copies bottom-up and an optional tail
+with poset.stack, whose layout rule sets every id: the seed keeps its own
+ids, each copy starts one past the largest id below it and the tail one
+past the last copy.  The built-in blocks are numbered 1..m, so with no
+seed copy k's element e gets id e + (k-1)*m, and a block on other ids,
+say {5, 7, 9}, keeps them in copy 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poset import Poset, rplus, rplus_offset, power
+from .poset import Poset, _checked_relation, power, stack
 
 
 def chain(n, name=None):
@@ -43,34 +46,23 @@ class BlockDecomposition:
     tail_rel: frozenset = frozenset()
 
     def assemble(self, nblocks, name=None):
-        """The concrete poset with nblocks copies; also returns the id map
-        {('seed'|'tail', element) or ('copy', k, element): final id}."""
+        """The concrete poset with nblocks copies, stacked as in
+        poset.stack with an empty seed or tail left out; also returns the
+        id map {('seed'|'tail', element) or ('copy', k, element): final id}."""
         if nblocks < 1:
             raise ValueError("need at least one block copy")
-        idmap = {}
-        out = power(self.block, self.rel, nblocks)
-        mx = max(self.block.elements)
-        mn = min(self.block.elements)
-        step = mx - mn + 1
-        for k in range(1, nblocks + 1):
-            for e in self.block.elements:
-                idmap[("copy", k, e)] = e + (k - 1) * step
-        if self.seed.elements:
-            off = rplus_offset(self.seed, out)
-            out = rplus(self.seed, out, {(x, y) for x, y in self.seed_rel})
-            for key in list(idmap):
-                idmap[key] += off
-            for e in self.seed.elements:
-                idmap[("seed", e)] = e
-        if self.tail.elements:
-            off = rplus_offset(out, self.tail)
-            last = {(idmap[("copy", nblocks, x)], y) for x, y in self.tail_rel}
-            out = rplus(out, self.tail, last)
-            for e in self.tail.elements:
-                idmap[("tail", e)] = e + off
-        if name is not None:
-            out = Poset(out.elements, {e: out.above(e) for e in out.elements},
-                        name=name)
+        _checked_relation(self.rel, self.block, self.block)
+        seed = [self.seed] if self.seed.elements else []
+        tail = [self.tail] if self.tail.elements else []
+        out, shifts = stack(
+            seed + [self.block] * nblocks + tail,
+            [self.seed_rel] * len(seed) + [self.rel] * (nblocks - 1)
+            + [self.tail_rel] * len(tail), name)
+        copies = shifts[len(seed):len(seed) + nblocks]
+        idmap = {("copy", k, e): e + s
+                 for k, s in enumerate(copies, start=1) for e in self.block.elements}
+        idmap.update((("seed", e), e) for e in self.seed.elements)
+        idmap.update((("tail", e), e + shifts[-1]) for e in self.tail.elements)
         return out, idmap
 
 

@@ -1,7 +1,9 @@
 """Finite posets as cover DAGs, plus the structural constructions the
 generating-function engine needs: deletion of an element, gluing an
 antichain subset (partially linear extension), and the partially ordinal
-sum of two posets along a relation, with n-fold powers.
+sum of a stack of posets, each related to the next (stack, whose
+docstring states the id layout once; rplus is the stack of two pieces
+and power the stack of n copies of one).
 
 A poset is immutable after construction.  Its element ids are kept
 sorted, and an element's rank is its position among them; the strict
@@ -11,8 +13,9 @@ relabeling that keeps the order of the ids, so the engine's memo keys on
 it.  Down-sets and upper/lower covers are bitmasks too: the upper covers
 of x are the elements above x that are above nothing else above x.
 Only Poset.build validates and closes a relation, so any acyclic
-relation is accepted as input; deletion and gluing write the masks of
-their result directly, and the public queries take and return ids.
+relation is accepted as input, and stack builds its sum through it;
+deletion and gluing write the masks of their result directly, and the
+public queries take and return ids.
 """
 
 from __future__ import annotations
@@ -325,57 +328,55 @@ class Poset:
         return count((1 << len(up)) - 1)
 
 
-def rplus_offset(p, q):
-    """Id shift applied to q's elements in rplus(p, q, ...)."""
-    if not q.elements:
-        return 0
-    base = max(p.elements) if p.elements else 0
-    return base - min(q.elements) + 1
+def _checked_relation(rel, lower, upper):
+    """rel as a list, each pair (x, y) with x in lower and y in upper."""
+    rel = list(rel)
+    for x, y in rel:
+        if x not in lower or y not in upper:
+            raise RelationOutOfRange("relation pair (%r, %r) outside the "
+                                     "pieces it relates" % (x, y))
+    return rel
+
+
+def stack(pieces, rels, name=None):
+    """Partially ordinal sum of pieces, bottom to top: each piece ordered
+    within itself, plus x < y for x in piece i, y in piece i + 1 whenever
+    some (x', y') in rels[i], given in the two pieces' own ids, has
+    x <= x' and y' <= y; the order is closed across all pieces.
+
+    Returns (poset, shifts), piece i's element e getting id e + shifts[i].
+    The layout: the first piece keeps its ids; each later nonempty piece
+    is shifted so that its smallest id is one past the largest id placed
+    so far (0 while none is); an empty piece has shift 0.
+    """
+    shifts, elements, covers = [], [], []
+    for i, p in enumerate(pieces):
+        top = elements[-1] if elements else 0  # the largest id placed so far
+        s = top + 1 - p.elements[0] if i and p.elements else 0
+        shifts.append(s)
+        elements += [e + s for e in p.elements]
+        covers += [(x + s, y + s) for x, y in p.covers]
+    for i, rel in enumerate(rels):
+        s, t = shifts[i], shifts[i + 1]
+        covers += [(x + s, y + t)
+                   for x, y in _checked_relation(rel, pieces[i], pieces[i + 1])]
+    return Poset.build(elements, covers, name=name), shifts
 
 
 def rplus(p, q, rel, name=None):
-    """Partially ordinal sum: disjoint union of p and q ordered within each
-    part, plus x < y for x in p, y in q whenever some (x', y') in rel has
-    x <= x' and y' <= y.  q's ids are shifted by rplus_offset(p, q)."""
-    rel = set(rel)
-    for x, y in rel:
-        if x not in p:
-            raise RelationOutOfRange("left element %r not in left poset" % (x,))
-        if y not in q:
-            raise RelationOutOfRange("right element %r not in right poset" % (y,))
-    off = rplus_offset(p, q)
-    elements = set(p.elements) | {e + off for e in q.elements}
-    above = {e: set(p.above(e)) for e in p.elements}
-    for e in q.elements:
-        above[e + off] = {y + off for y in q.above(e)}
-    for x in p.elements:
-        for (x1, y1) in rel:
-            if x == x1 or p.lt(x, x1):
-                above[x].add(y1 + off)
-                above[x].update(y + off for y in q.above(y1))
-    return Poset(elements, above, name=name)
+    """Partially ordinal sum of p below q along rel, laid out as
+    stack([p, q], [rel]) lays it out."""
+    return stack([p, q], [rel], name)[0]
 
 
 def power(p, rel, n, name=None):
     """n-fold partially ordinal sum of p with itself along rel, copies
-    numbered bottom-up; copy k's element e gets id
-    e + (k-1)*(max(p ids) - min(p ids) + 1), so for the block {2, 3}
-    copy 2 is {4, 5}."""
+    numbered bottom-up and laid out as in stack: copy k's element e gets
+    id e + (k-1)*(max(p ids) - min(p ids) + 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rel = set(rel)
-    for x, y in rel:
-        if x not in p or y not in p:
-            raise RelationOutOfRange("relation pair (%r, %r) outside the block" % (x, y))
-    out = p
-    shift = 0
-    for _ in range(n - 1):
-        off = rplus_offset(out, p)
-        out = rplus(out, p, {(x + shift, y) for x, y in rel})
-        shift = off
-    if name is not None:
-        out = Poset(out.elements, {e: out.above(e) for e in out.elements}, name=name)
-    return out
+    rel = _checked_relation(rel, p, p)  # also when no pair is stacked
+    return stack([p] * n, [rel] * (n - 1), name)[0]
 
 
 # ---------------------------------------------------------------------------

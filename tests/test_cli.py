@@ -185,6 +185,15 @@ def test_qgfun_of_a_400_element_antichain(capsys):
     assert parse_rational(out.strip()) == RationalFunction(1, [mono_var("q")] * 400)
 
 
+def test_gfun_of_a_220_element_antichain(capsys):
+    # gfun takes four stack frames per element: 220 elements fit under
+    # the default recursion limit, with room for pytest's own frames
+    code, out, _ = run(capsys, "gfun", "--family", "antichain", "--n", "220")
+    assert code == 0
+    assert parse_rational(out.strip()) == RationalFunction(
+        1, [mono_var("x%d" % e) for e in range(1, 221)])
+
+
 def test_eval_has_no_depth_limit(capsys, tmp_path):
     # the recurrence iterates its levels in a loop: 600 copies of a
     # one-element block form the 600-element chain

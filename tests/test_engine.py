@@ -360,7 +360,9 @@ def unplanned_gfun_at(p, monos, strategy, reached):
         f = memo.get(key)
         if f is None:
             reached.append(key)
-            f = memo[key] = engine._step(q, qmonos, strategy, go)
+            kind, arg = strategy(q)
+            apply = engine.apply_deletion if kind == "delete" else engine.apply_ple
+            f = memo[key] = apply(q, arg, qmonos, go)
         return f
 
     return go(p, monos)

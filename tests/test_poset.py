@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from ppgf.poset import (CycleDetected, EmptySubset, NotAntichain, Poset,
                         PosetError, RelationOutOfRange, SubsetNotContained,
                         UnknownElement, parse_poset_text, power,
-                        render_poset_text, rplus)
-from ppgf.families import antichain, chain, diamond
+                        render_poset_text, rplus, stack)
+from ppgf.families import (BlockDecomposition, antichain, chain, diamond,
+                           two_rowed_dd_block)
 from strategies import posets
 
 
@@ -215,6 +217,94 @@ def test_power_window_isomorphic_to_rplus():
         shifted = Poset({e - off for e in window},
                         {e - off: {y - off for y in sub[e]} for e in window})
         assert shifted == pair
+
+
+def test_rplus_of_the_empty_poset_starts_at_one():
+    q = Poset.build({5, 7}, {(5, 7)})
+    s = rplus(Poset.empty(), q, ())
+    assert s == Poset.build({1, 3}, {(1, 3)})
+    assert stack([Poset.empty(), q], [()]) == (s, [0, -4])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_power_and_assemble_reject_a_pair_outside_the_block(n):
+    with pytest.raises(RelationOutOfRange):
+        power(antichain(2), {(1, 3)}, n)
+    with pytest.raises(RelationOutOfRange):
+        BlockDecomposition(block=antichain(2),
+                           rel=frozenset({(3, 1)})).assemble(n)
+
+
+@pytest.mark.parametrize("change", [
+    {"seed_rel": frozenset({(2, 1)})},  # 2 is not in the seed
+    {"seed_rel": frozenset({(1, 3)})},  # 3 is not in the block
+    {"tail_rel": frozenset({(3, 1)})},  # 3 is not in the block
+    {"tail_rel": frozenset({(1, 2)})},  # 2 is not in the tail
+])
+def test_assemble_rejects_a_seed_or_tail_pair_outside_its_pieces(change):
+    with pytest.raises(RelationOutOfRange):
+        replace(two_rowed_dd_block(), **change).assemble(2)
+
+
+def _closed_rplus(p, q, rel):
+    """Reference rplus: q shifted past max(p ids), or to start at 1 when
+    p is empty, and the order closed by hand; also returns the shift."""
+    off = ((max(p.elements) if p.elements else 0) - min(q.elements) + 1
+           if q.elements else 0)
+    above = {e: set(p.above(e)) for e in p.elements}
+    for e in q.elements:
+        above[e + off] = {y + off for y in q.above(e)}
+    for x in p.elements:
+        for x1, y1 in rel:
+            if x == x1 or p.lt(x, x1):
+                above[x].add(y1 + off)
+                above[x].update(y + off for y in q.above(y1))
+    return Poset(set(above), above), off
+
+
+def _assembled_by_offsets(deco, nblocks):
+    """Reference assemble: the copies, the seed and the tail summed by
+    nested _closed_rplus calls, and the id map read off their shifts."""
+    out, shift = deco.block, 0
+    for _ in range(nblocks - 1):
+        out, off = _closed_rplus(out, deco.block,
+                                 {(x + shift, y) for x, y in deco.rel})
+        shift = off
+    step = max(deco.block.elements) - min(deco.block.elements) + 1
+    idmap = {("copy", k, e): e + (k - 1) * step
+             for k in range(1, nblocks + 1) for e in deco.block.elements}
+    if deco.seed.elements:
+        out, off = _closed_rplus(deco.seed, out, deco.seed_rel)
+        for key in idmap:
+            idmap[key] += off
+        idmap.update((("seed", e), e) for e in deco.seed.elements)
+    if deco.tail.elements:
+        last = {(idmap[("copy", nblocks, x)], y) for x, y in deco.tail_rel}
+        out, off = _closed_rplus(out, deco.tail, last)
+        idmap.update((("tail", e), e + off) for e in deco.tail.elements)
+    return out, idmap
+
+
+SPACED = Poset.build({5, 7, 9}, {(5, 7), (5, 9)})
+
+
+@pytest.mark.parametrize("deco", [
+    two_rowed_dd_block(),
+    BlockDecomposition(block=SPACED, rel=frozenset({(7, 7), (9, 9)})),
+    BlockDecomposition(block=SPACED, rel=frozenset({(7, 7), (9, 9)}),
+                       seed=chain(2), seed_rel=frozenset({(2, 5)})),
+    BlockDecomposition(block=SPACED, rel=frozenset({(9, 5)}),
+                       tail=Poset.build({3, 4}, ()),
+                       tail_rel=frozenset({(7, 3), (9, 4)})),
+], ids=["two_rowed_dd", "spaced", "spaced_seed", "spaced_tail"])
+def test_assemble_lays_out_ids_as_nested_rplus_did(deco):
+    for n in range(1, 5):
+        got, idmap = deco.assemble(n, name="x")
+        want, want_map = _assembled_by_offsets(deco, n)
+        assert got == want and got.covers == want.covers and got.name == "x"
+        assert list(idmap.items()) == list(want_map.items())
+    if not deco.seed.elements:  # copy 1 keeps the block's ids
+        assert all(idmap[("copy", 1, e)] == e for e in deco.block.elements)
 
 
 # -- invariants on random posets -------------------------------------------------
@@ -445,10 +535,10 @@ def _assert_same(p, ref):
 
 
 @st.composite
-def _shuffled_orders(draw):
+def _shuffled_orders(draw, max_size=7):
     """Elements on spaced ids, ordered along a shuffle of them, so that a
     larger id may lie below a smaller one."""
-    ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=7))
+    ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=max_size))
     order = draw(st.permutations(ids))
     pairs = {(x, y) for i, x in enumerate(order) for y in order[i + 1:]
              if draw(st.booleans())}
@@ -487,3 +577,45 @@ def test_mask_poset_matches_the_set_reference(start, data):
         for b, ref_b in seen:
             assert (a.key == b.key) == (ref_a.shape() == ref_b.shape())
     assert seen[0][0].key == seen[1][0].key
+
+
+@st.composite
+def _stacks(draw):
+    """1 to 4 pieces on spaced, shuffled ids, any of them possibly empty,
+    each related to the next by pairs in the two pieces' own ids."""
+    piece = st.one_of(st.just(([], set())), _shuffled_orders(max_size=4))
+    pieces = [draw(piece) for _ in range(draw(st.integers(1, 4)))]
+    rels = [draw(st.sets(st.tuples(st.sampled_from(lo), st.sampled_from(hi))))
+            if lo and hi else set()
+            for (lo, _), (hi, _) in zip(pieces, pieces[1:])]
+    return pieces, rels
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stacks())
+def test_stack_matches_the_definition(drawn):
+    pieces, rels = drawn
+    refs = [_SetPoset(ids, pairs) for ids, pairs in pieces]
+    got, shifts = stack([Poset.build(ids, pairs) for ids, pairs in pieces],
+                        rels, name="s")
+    # the layout: the first piece keeps its ids, a later nonempty one
+    # starts one past the largest id placed so far (0 if none), and an
+    # empty one is not shifted
+    placed, want_shifts = [], []
+    for i, ref in enumerate(refs):
+        s = (max(placed, default=0) + 1 - min(ref.elements)
+             if i and ref.elements else 0)
+        placed += [e + s for e in ref.elements]
+        want_shifts.append(s)
+    assert shifts == want_shifts
+    # x < y inside a piece, or x <= x' in piece i and y' <= y in piece
+    # i + 1 for a pair (x', y') of rels[i]; then closed across the pieces
+    pairs = {(x + s, y + s)
+             for ref, s in zip(refs, shifts) for x, y in ref.less}
+    for i, rel in enumerate(rels):
+        lo, hi, s, t = refs[i], refs[i + 1], shifts[i], shifts[i + 1]
+        pairs |= {(x + s, y + t) for x1, y1 in rel
+                  for x in lo.below(x1) | {x1} for y in hi.above(y1) | {y1}}
+    want = _SetPoset(placed, pairs)
+    assert got.elements == want.elements and got.name == "s"
+    assert {(x, y) for x in got.elements for y in got.above(x)} == want.less

@@ -21,8 +21,13 @@ under the bindings e -> x<ceil(e/2)> and e -> x<ceil(e/3)> and each
 strategy: elements share variables, so those bindings fail
 keeps_normal_form and the value is renormalized, the one path of gfun
 that still is, over denominators with several powers of one monomial.
-The last section reads a block whose ids do not start at 1, {5, 7, 9},
-from a temporary file.
+The last sections read a block whose ids do not start at 1, {5, 7, 9},
+from a temporary file, and print the id layout itself: every built-in
+block decomposition and the {5, 7, 9} block (without a seed, with one,
+and with a seed and a tail) assembled with 1 to 4 copies and named as
+the families name theirs, as text with the sorted id map, and rplus
+and power on the first 10 acceptance posets, the upper piece of each
+rplus relabeled to ids 7, 10, 13, ....
 eval --multivariate --json runs up to zigzag n = 6 and three_rowed n = 4,
 the largest multivariate outputs in reach (about 7 s and 23 s on a 2-core
 Xeon, a 90,480-term numerator at zigzag n = 6), so that a change to the
@@ -36,14 +41,16 @@ import io
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from ppgf import cli, engine  # noqa: E402
+from ppgf import cli, engine, families  # noqa: E402
 from ppgf.algebra import mono_var  # noqa: E402
-from ppgf.poset import Poset, render_poset_text  # noqa: E402
+from ppgf.poset import (Poset, parse_poset_text, power,  # noqa: E402
+                        render_poset_text, rplus)
 from workloads import CORPUS_SEED, corpus  # noqa: E402
 
 STRATEGIES = (engine.default_strategy, engine.reversed_strategy,
@@ -83,6 +90,37 @@ def spaced_block():
         for argv in runs:
             run_cli(argv + ["--block", path],
                     " ".join(argv + ["--block", "{5,7,9}"]))
+
+
+def layout(acceptance):
+    """assemble's posets and id maps, and rplus and power on corpus
+    posets, each relation the pairs whose ids sum to a multiple of 3."""
+    block, rel = parse_poset_text(SPACED_BLOCK)
+    spaced = families.BlockDecomposition(block=block, rel=frozenset(rel))
+    seeded = replace(spaced, seed=families.chain(2), seed_rel=frozenset({(2, 5)}))
+    decos = {name: getattr(families, name + "_block")()
+             for name in ("zigzag", "three_rowed", "two_rowed_dd", "multicube")}
+    decos["{5,7,9}"] = spaced
+    decos["{5,7,9} seeded"] = seeded
+    decos["{5,7,9} seeded tailed"] = replace(
+        seeded, tail=families.antichain(2), tail_rel=frozenset({(7, 1), (9, 2)}))
+    for label, deco in decos.items():
+        for n in range(1, 5):
+            p, idmap = deco.assemble(n, name="%s-%d" % (label, n))
+            emit("assemble %s %d" % (label, n),
+                 render_poset_text(p) + repr(sorted(idmap.items())))
+    for i, p in enumerate(acceptance[:10]):
+        nxt = acceptance[i + 1]
+        up = {e: 3 * e + 4 for e in nxt.elements}
+        q = Poset.build(up.values(), {(up[x], up[y]) for x, y in nxt.covers})
+        for lower, upper in ((p, q), (Poset.empty(), q), (p, Poset.empty())):
+            pairs = {(x, y) for x in lower.elements for y in upper.elements
+                     if (x + y) % 3 == 0}
+            emit("rplus %d %d %d" % (i, len(lower), len(upper)),
+                 render_poset_text(rplus(lower, upper, pairs)))
+        pairs = {(x, y) for x in p.elements for y in p.elements if (x + y) % 3 == 0}
+        for n in range(1, 4):
+            emit("power %d %d" % (i, n), render_poset_text(power(p, pairs, n)))
 
 
 def poset_layer(label, posets):
@@ -137,6 +175,7 @@ def main():
         run_cli(["recurrence", "--family", family])
         run_cli(["recurrence", "--family", family, "--json"])
     spaced_block()
+    layout(acceptance)
 
 
 if __name__ == "__main__":
