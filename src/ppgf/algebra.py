@@ -73,11 +73,12 @@ variables rather than from its name.
 Rational functions in q alone also have a dense form, a coefficient list
 over a tuple of exponents, with its own arithmetic (the dense_* functions);
 the recurrence's q-iteration runs on it, and so does every rf_sum whose
-parts are all in one variable (gfun_q's sums), read in that variable.
-Such a sum crosses between the kernels once each way: the pass that
-checks that its parts share one variable also reads them as dense
-values, and the dense result is written back as a normal form with
-its keys and sorted denominator built directly.  The sparse kernel
+parts are all in q alone (gfun_q's sums).  A sum in one other variable
+takes the sparse kernel, which gives the same normal form.  A dense sum
+crosses between the kernels once each way: the pass that checks that
+its parts are in q alone also reads them as dense values, and the dense
+result is written back as a normal form with its keys and sorted
+denominator built directly.  The sparse kernel
 brings a sum's parts to the common denominator with _lift, which
 multiplies a factor several parts lack into their partial sum once.
 The dense kernel lifts each part on its own: a large sum packs each
@@ -180,6 +181,10 @@ def mono_var(name, exp=1):
     return _pack([(_index(name), exp)])
 
 
+# the packed q, whose multiples are the powers of q
+_QUNIT = mono_var(Q)
+
+
 def mono_mul(a, b):
     m = a + b
     if m & _MASK >= _LIMIT:
@@ -247,17 +252,28 @@ def _prepared(pairs):
 
 
 # _field of each positional variable v0, v1, ..., interned in that order
-# the first time a substitution reaches its position
+# the first time a binding or a substitution reaches its position
 _POSITIONS = []
+
+
+def _positions(n):
+    """_POSITIONS, grown to at least n entries."""
+    while len(_POSITIONS) < n:
+        _POSITIONS.append(_field(_index("v%d" % len(_POSITIONS))))
+    return _POSITIONS
 
 
 def _positional_substitution(images):
     """_substitution({"v0": images[0], "v1": images[1], ...}), read off
     the table of the positional variables' fields instead of formatting
     and looking up each name."""
-    while len(_POSITIONS) < len(images):
-        _POSITIONS.append(_field(_index("v%d" % len(_POSITIONS))))
-    return _prepared(zip(_POSITIONS, images))
+    return _prepared(zip(_positions(len(images)), images))
+
+
+def _positional_variables(n):
+    """The monomials of v0, ..., v<n-1> as a tuple, read off the same
+    table: the binding by position of a poset of n elements."""
+    return tuple([x for _, x in _positions(n)[:n]])
 
 
 def _subst(m, sub):
@@ -942,8 +958,8 @@ def _substituted(f, sub):
 def rf_sum(terms):
     """Sum of rational functions over the least common factored denominator.
 
-    When every part is in one variable v, the parts are read as dense
-    values in v (_dense_parts) and the sum runs on the dense kernel
+    When every part is in q alone, the parts are read as dense values
+    in q (_dense_parts) and the sum runs on the dense kernel
     (dense_sum), whose normalization follows _normalize rule for rule,
     so the result is the same.
 
@@ -966,8 +982,7 @@ def rf_sum(terms):
         return terms[0]
     dense = _dense_parts(terms)
     if dense is not None:
-        values, v = dense
-        return dense_to_rf(dense_sum(values), v)
+        return dense_to_rf(dense_sum(dense))
     common = reduce(_join, [f.den for f in terms])
     parts = [(f.num, _minus(common, f.den)) for f in terms]
     f = _normal(_lift(parts), tuple(common))
@@ -1030,51 +1045,32 @@ def _lifted_value(parts, point, cache=None):
 
 
 def _dense_parts(terms):
-    """(values, v): rational functions in the one variable v as dense
-    values in v, read in one pass over their terms (v is Q when they have
-    no variable).  None at the first monomial in two variables or in a
-    second variable.
+    """Rational functions in q alone as dense values in q, read in one
+    pass over their terms; None at the first monomial that is not a
+    power of q.
 
-    Once v is known, a monomial is v^d exactly when it equals d times
-    the packed v, d its degree field.  A RationalFunction keeps its
-    denominator sorted, which in one variable is ascending k, so each
-    part's k are read in order.
+    A monomial is q^d exactly when it equals d times the packed q, d its
+    degree field.  A RationalFunction keeps its denominator sorted, which
+    in q is ascending k, so each part's k are read in order.
     """
-    unit = None
     values = []
     for f in terms:
         coeffs = []
         for mo, c in f.num._terms.items():
-            d = 0
-            if mo:
-                d = mo & _MASK
-                if unit is None or mo != d * unit:
-                    unit = _variable_of(mo, unit)
-                    if unit is None:
-                        return None
+            d = mo & _MASK
+            if mo != d * _QUNIT:
+                return None
             if d >= len(coeffs):
                 coeffs.extend(repeat(0, d + 1 - len(coeffs)))
             coeffs[d] = c
         den = []
         for m in f.den:
             k = m & _MASK
-            if unit is None or m != k * unit:
-                unit = _variable_of(m, unit)
-                if unit is None:
-                    return None
+            if m != k * _QUNIT:
+                return None
             den.append(k)
         values.append((coeffs, tuple(den)))
-    return values, (_NAMES[_items(unit)[0][0]] if unit else Q)
-
-
-def _variable_of(m, unit):
-    """The packed variable v of a monomial m = v^d with d > 0, when no
-    variable was met before (unit None), else None."""
-    if unit is None:
-        (_, d), *more = _items(m)
-        if not more:
-            return m // d
-    return None
+    return values
 
 
 def _ruled_out_on(parts):
@@ -1382,17 +1378,16 @@ def _kron_unpack(x, nb, size):
     return lanes.tolist()
 
 
-def dense_to_rf(value, v=Q):
-    """The RationalFunction in v of a dense value (already normalized):
-    the keys d * v and the denominator, sorted as its k are, are written
+def dense_to_rf(value):
+    """The RationalFunction in q of a dense value (already normalized):
+    the keys d * q and the denominator, sorted as its k are, are written
     directly."""
     num, den = value
     if len(num) > _LIMIT or den and den[-1] >= _LIMIT:
         raise MonomialOverflow("exponent of %s leaves its %d-bit field"
-                               % (v, _W))
-    unit = mono_var(v)
-    p = _poly({d * unit: c for d, c in enumerate(num) if c})
-    return _normal(p, tuple([k * unit for k in den]))
+                               % (Q, _W))
+    p = _poly({d * _QUNIT: c for d, c in enumerate(num) if c})
+    return _normal(p, tuple([k * _QUNIT for k in den]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Recursive computation of the multivariate generating function f_P.
 
-Two exact identities drive the recursion, and each exists once, in
-monomial form: a binding sends each element a to the monomial x_a stands
-for, and deletion_rhs / gluing_rhs return the identity's right-hand side
-as data, a denominator monomial m (None for gluing) and terms (sign,
-multiplier, child poset, child binding), so that f_P is the sum of
-sign * multiplier * f_child(child binding), over (1 - m):
+Two exact identities drive the recursion, and each exists once, by
+position: a binding is the tuple of monomials aligned with p.elements,
+the one at position i standing for x of the element p.elements[i].
+deletion_rhs(p, b) and gluing_rhs(p, antichain) read the identity's
+right-hand side off the poset alone, as a denominator position (None for
+gluing) and terms (sign, multiplier position or None, child poset,
+picks, joins), where the child binding's j-th monomial is the one at
+position picks[j] times the one at i for each (j, i) in joins.  Bound at
+a binding (_bound), so that every position stands for its monomial and
+each multiplier is 1 where there is none, f_P is the sum of
+sign * multiplier * f_child(child binding), over (1 - m) for the
+denominator's monomial m:
 
   * deleting an element b with at most one lower cover a and at most one
     upper cover c gives f_P = (g - m_b * h) / (1 - m_b), where g is f of
@@ -15,33 +21,38 @@ sign * multiplier * f_child(child binding), over (1 - m):
 
   * gluing, for an antichain A, every nonempty subset M of A into a single
     element that covers A minus M and is bound to the product of the
-    monomials of M, with inclusion-exclusion signs.
+    monomials of M, with inclusion-exclusion signs; the glued element is
+    the child's last.
 
 Every poset reaches the empty poset (f = 1) this way: a deletion removes
 an element and a gluing strictly decreases the number of nonempty
 antichains.  The choice of which step to take is a Strategy; all
 strategies give the same function, which the test suite checks.
 
-apply_deletion and apply_ple evaluate a right-hand side through a
-recursion recur(child, child_binding); gfun and gfun_at are that
-recursion under two memo policies, and the recurrence module's prefix
-elimination walks the same right-hand sides with a coefficient.  gfun
+_bound is the one binder of a right-hand side and _evaluate the one sum
+of its bound terms.  apply_deletion(p, b, at, recur) and apply_ple(p,
+antichain, at, recur) take the binding at as a tuple and evaluate the
+right-hand side through recur(child, child_at), child_at a tuple aligned
+with child.elements; gfun and gfun_at are that recursion under two memo
+policies, and the recurrence module's prefix elimination binds the same
+right-hand sides with a coefficient.  The public entry points gfun,
+gfun_at and default_binding take and give dicts by element.  gfun
 keys on Poset.key, the up-set bitmasks over the ranks of the element ids,
 which is equal for two posets exactly when relabeling one by rank gives
 the other; so branches that build one structure under different
 bindings share the work.  It stores each value in positional variables
-v0, v1, ... and substitutes the binding into it on every lookup.  An
-inner lookup prepares its substitution once, by position
-(algebra._positional_substitution of the images in element order), with
-no variable name formatted or looked up.  The
-normal-form check (algebra.keeps_normal_form) runs once per gfun call,
-at the caller's binding, in RationalFunction.substitute, which
-renormalizes where it fails.  Every inner lookup's binding is built by
-deletion_rhs or gluing_rhs from the distinct positional variables of
-the poset above, and both only multiply disjoint sets of them together,
-so each image keeps a variable of exponent 1 that no other image holds
-and the check always holds; inner lookups substitute through
-algebra._substituted, which does not ask it.
+v0, v1, ..., the identity bound at their monomials
+(algebra._positional_variables), and substitutes the binding into it on
+every lookup.  An inner lookup prepares its substitution once, from the
+child's tuple (algebra._positional_substitution), with no variable name
+formatted or looked up.  The normal-form check (algebra.keeps_normal_form)
+runs once per gfun call, at the caller's binding, in
+RationalFunction.substitute, which renormalizes where it fails.  Every
+inner lookup's binding is bound from the distinct positional variables
+of the poset above, and both identities only multiply disjoint sets of
+them together, so each image keeps a variable of exponent 1 that no
+other image holds and the check always holds; inner lookups substitute
+through algebra._substituted, which does not ask it.
 gfun_at keys on Poset.key plus monomials and keeps every value in the
 target variables, which is exponentially smaller when elements share a
 variable (gfun_q's all-q input).  Each is the faster one somewhere: on
@@ -51,17 +62,16 @@ against 2.9-3.5 s keyed on structure (2-core Xeon), while structure keys
 would build the full multivariate value of every subposet of an all-q
 input.  gfun_at still meets one structure under many bindings (33,146
 steps over 2,467 keys on the benchmark's 100 wide posets), so it plans
-each structure once: the strategy and the identity run at the
-positional variables, and each binding replays that right-hand side by
-position.  Both memos thus rely on a strategy's choice depending only on
-the rank order of the ids.
+each structure once: its plan is the strategy's right-hand side, which
+holds positions only, and each binding binds it.  Both memos thus rely
+on a strategy's choice depending only on the rank order of the ids.
 """
 
 from __future__ import annotations
 
-from .algebra import (RationalFunction, Polynomial, _mono_key,
-                      _positional_substitution, _substituted, mono_var,
-                      mono_mul, rf_sum)
+from .algebra import (RationalFunction, Polynomial, _positional_substitution,
+                      _positional_variables, _substituted, mono_var, mono_mul,
+                      rf_sum)
 
 
 class NotRemovable(ValueError):
@@ -141,47 +151,67 @@ def ple_first_strategy(p):
 
 # -- the two identities --------------------------------------------------
 
-def deletion_rhs(p, b, monos):
-    """Right-hand side of the deletion identity at the removable element b."""
+def deletion_rhs(p, b):
+    """Right-hand side of the deletion identity at the removable element
+    b, by position in p.elements (see the module docstring): b's position
+    is the denominator and the lower term's multiplier, and b's monomial
+    joins its upper cover's in g and its lower cover's in h."""
     lowers = p.lower_covers(b)
     uppers = p.upper_covers(b)
     if len(lowers) > 1 or len(uppers) > 1:
         raise NotRemovable("%r has covers %r / %r" % (b, lowers, uppers))
-    mb = monos[b]
+    r = p._rank(b)
     child = p.delete(b)
-    g = {e: monos[e] for e in child.elements}
-    if uppers:
-        g[uppers[0]] = mono_mul(mb, g[uppers[0]])
-    terms = [(1, 0, child, g)]
+    picks = tuple(i for i in range(len(p.elements)) if i != r)
+    terms = [(1, None, child, picks,
+              tuple((child._rank(c), r) for c in uppers))]
     if lowers:
-        h = {e: monos[e] for e in child.elements}
-        h[lowers[0]] = mono_mul(h[lowers[0]], mb)
-        terms.append((-1, mb, child, h))
-    return mb, terms
+        terms.append((-1, r, child, picks, ((child._rank(lowers[0]), r),)))
+    return r, terms
 
 
-def gluing_rhs(p, antichain, monos):
-    """Right-hand side of the gluing identity: one term per nonempty
-    subset of the antichain, signed by inclusion-exclusion."""
+def gluing_rhs(p, antichain):
+    """Right-hand side of the gluing identity, by position in p.elements:
+    one term per nonempty subset of the antichain, signed by
+    inclusion-exclusion, whose child keeps the other elements in order
+    and ends with the glued one, bound to the product of the subset's
+    monomials."""
     members = sorted(antichain)
+    ranks = [p._rank(e) for e in members]
     terms = []
     for mask in range(1, 1 << len(members)):
-        m_set = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
-        child, glued = p.ple(m_set, members)
-        child_monos = {e: monos[e] for e in child.elements if e != glued}
-        prod = 0
-        for e in m_set:
-            prod = mono_mul(prod, monos[e])
-        child_monos[glued] = prod
-        terms.append((1 if len(m_set) % 2 else -1, 0, child, child_monos))
+        glued = [r for i, r in enumerate(ranks) if mask >> i & 1]
+        child, _ = p.ple([p.elements[r] for r in glued], members)
+        picks = tuple(i for i in range(len(p.elements)) if i not in glued)
+        joins = tuple((len(picks), r) for r in glued[1:])
+        terms.append((1 if len(glued) % 2 else -1, None, child,
+                      picks + (glued[0],), joins))
     return None, terms
 
 
-def _evaluate(rhs, recur):
+def _bound(rhs, at):
+    """The right-hand side rhs at the binding at, the tuple of monomials
+    aligned with the poset's elements: the denominator's monomial (None
+    for gluing), then per term (sign, multiplier monomial or 0, child,
+    child binding)."""
     den, terms = rhs
+    bound = []
+    for sign, mult, child, picks, joins in terms:
+        images = [at[i] for i in picks]
+        for j, i in joins:
+            images[j] = mono_mul(images[j], at[i])
+        bound.append((sign, 0 if mult is None else at[mult], child,
+                      tuple(images)))
+    return (None if den is None else at[den]), bound
+
+
+def _evaluate(bound, recur):
+    """sign * multiplier * recur(child, child binding) summed over the
+    bound terms, over (1 - denominator)."""
+    den, terms = bound
     parts = []
-    for sign, mult, child, child_monos in terms:
-        f = recur(child, child_monos)
+    for sign, mult, child, child_at in terms:
+        f = recur(child, child_at)
         if mult:
             f = f * Polynomial.term(mult)
         parts.append(f if sign > 0 else -f)
@@ -189,14 +219,18 @@ def _evaluate(rhs, recur):
     return f if den is None else f.over(den)
 
 
-def apply_deletion(p, b, monos, recur):
-    """f_P at monos from f of the poset without the removable element b."""
-    return _evaluate(deletion_rhs(p, b, monos), recur)
+def apply_deletion(p, b, at, recur):
+    """f_P at the binding at (monomials aligned with p.elements) from f of
+    the poset without the removable element b, through recur(child,
+    child binding)."""
+    return _evaluate(_bound(deletion_rhs(p, b), at), recur)
 
 
-def apply_ple(p, antichain, monos, recur):
-    """f_P at monos by inclusion-exclusion over the antichain's subsets."""
-    return _evaluate(gluing_rhs(p, antichain, monos), recur)
+def apply_ple(p, antichain, at, recur):
+    """f_P at the binding at (monomials aligned with p.elements) by
+    inclusion-exclusion over the antichain's subsets, through
+    recur(child, child binding)."""
+    return _evaluate(_bound(gluing_rhs(p, antichain), at), recur)
 
 
 # -- the two recursions ----------------------------------------------------
@@ -206,15 +240,17 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
     (by default the variable x<a>), memoized on Poset.key.
 
     The memo stores, per key, the value in positional
-    variables v0, v1, ...; the caller's monomials are substituted into it
-    on return.  This is sound because every identity used is a
-    multiplicative substitution.  Only this outermost substitution, at
-    the caller's binding, goes through RationalFunction.substitute and
-    its check of algebra.keeps_normal_form, renormalizing where the
-    check fails (elements that share a variable).  The bindings of the
-    recursion's own lookups are products of disjoint sets of distinct
-    variables, which always keep the normal form, so those lookups
-    substitute without the check (see the module docstring).
+    variables v0, v1, ... (the identity applied at
+    algebra._positional_variables); the caller's monomials are
+    substituted into it on return.  This is sound because every identity
+    used is a multiplicative substitution.  Only this outermost
+    substitution, at the caller's binding, goes through
+    RationalFunction.substitute and its check of
+    algebra.keeps_normal_form, renormalizing where the check fails
+    (elements that share a variable).  The bindings of the recursion's
+    own lookups are products of disjoint sets of distinct variables,
+    which always keep the normal form, so those lookups substitute
+    without the check (see the module docstring).
     """
     if monos is None:
         monos = default_binding(p)
@@ -222,19 +258,18 @@ def gfun(p, monos=None, strategy=default_strategy, memo=None):
     if memo is None:
         memo = {}
 
-    def go(q, qmonos):
+    def go(q, at):
         if not q.elements:
             return RationalFunction.one()
-        return _substituted(template(q), _positional_substitution(
-            [qmonos[e] for e in q.elements]))
+        return _substituted(template(q), _positional_substitution(at))
 
     def template(q):
         f = memo.get(q.key)
         if f is None:
-            canon = {e: mono_var("v%d" % i) for i, e in enumerate(q.elements)}
             kind, arg = strategy(q)
             apply = apply_deletion if kind == "delete" else apply_ple
-            f = memo[q.key] = apply(q, arg, canon, go)
+            f = memo[q.key] = apply(q, arg,
+                                    _positional_variables(len(q.elements)), go)
         return f
 
     if not p.elements:
@@ -258,12 +293,13 @@ def gfun_at(p, monos, strategy=default_strategy):
     the tuple of monomials aligned with the poset's elements.
 
     The strategy and the identity run once per structure (Poset.key):
-    the first time a structure is met, _plan records its right-hand side
-    with each monomial as the positions of the elements whose monomials
-    multiply to it, and every binding of that structure replays the plan
-    (_bound).  This relies on the strategy's choice depending only on the
-    rank order of the ids, as gfun's memo does and every strategy here
-    satisfies.
+    the first time a structure is met, its plan is the strategy's
+    right-hand side, which is by position, with each child the first
+    poset met with its structure (shapes), so the plans hold one poset
+    per structure; every binding of that structure binds the plan
+    (_bound).  This relies on the strategy's choice depending only on
+    the rank order of the ids, as gfun's memo does and every strategy
+    here satisfies.
     """
     _check_binding(monos)
     memo = {}
@@ -278,60 +314,16 @@ def gfun_at(p, monos, strategy=default_strategy):
         if f is None:
             plan = plans.get(q.key)
             if plan is None:
-                plan = plans[q.key] = _plan(q, strategy, shapes)
+                kind, arg = strategy(q)
+                rhs = deletion_rhs if kind == "delete" else gluing_rhs
+                den, terms = rhs(q, arg)
+                plan = plans[q.key] = den, [
+                    (sign, mult, shapes.setdefault(child.key, child), picks,
+                     joins) for sign, mult, child, picks, joins in terms]
             f = memo[key] = _evaluate(_bound(plan, at), go)
         return f
 
     return go(p, tuple(monos[e] for e in p.elements))
-
-
-def _plan(q, strategy, shapes):
-    """The right-hand side of strategy's step on q, read off the identity
-    at the positional variables v0, v1, ..., with each monomial given by
-    the positions in q.elements of the elements whose monomials multiply
-    to it: the denominator (None for gluing), then per term (sign,
-    multiplier, child, picks, joins), where the image of the child's j-th
-    element is the monomial at position picks[j] times the one at i for
-    each (j, i) in joins.  Each child is the first poset met with its
-    structure (shapes), so the plans hold one poset per structure."""
-    canon = [mono_var("v%d" % i) for i in range(len(q.elements))]
-    single = {m: (i,) for i, m in enumerate(canon)}
-    kind, arg = strategy(q)
-    rhs = deletion_rhs if kind == "delete" else gluing_rhs
-    den, terms = rhs(q, arg, dict(zip(q.elements, canon)))
-
-    def positions(m):
-        # most monomials are one positional variable; a product is decoded
-        return single.get(m) or tuple(int(v[1:]) for v, e in _mono_key(m)
-                                      for _ in range(e))
-
-    plan = []
-    for sign, mult, child, child_monos in terms:
-        images = [positions(child_monos[e]) for e in child.elements]
-        plan.append((sign, positions(mult), shapes.setdefault(child.key, child),
-                     tuple(image[0] for image in images),
-                     tuple((j, i) for j, image in enumerate(images)
-                           for i in image[1:])))
-    return (None if den is None else positions(den)), plan
-
-
-def _product(positions, at):
-    m = 0
-    for i in positions:
-        m = mono_mul(m, at[i])
-    return m
-
-
-def _bound(plan, at):
-    """The right-hand side a plan stands for at the binding at."""
-    den, terms = plan
-    bound = []
-    for sign, mult, child, picks, joins in terms:
-        images = [at[i] for i in picks]
-        for j, i in joins:
-            images[j] = mono_mul(images[j], at[i])
-        bound.append((sign, _product(mult, at), child, tuple(images)))
-    return (None if den is None else _product(den, at)), bound
 
 
 def gfun_q(p, strategy=default_strategy):

@@ -13,10 +13,13 @@ the set of states under elimination yields the full recurrence system,
 which can then be iterated to any n.
 
 During elimination every surviving element carries its current variable
-as a monomial in the original variables, which is the engine's binding,
-so elimination walks the engine's right-hand sides (engine.deletion_rhs,
-engine.gluing_rhs): each term of one continues the branch on its child
-poset and binding, with the coefficient times sign * multiplier / (1 - m).
+as a monomial in the original variables, which is the engine's binding
+(the tuple of monomials aligned with the poset's elements), so
+elimination walks the engine's right-hand sides (engine.deletion_rhs,
+engine.gluing_rhs, bound by engine._bound): each term of one continues
+the branch on its child poset and binding, with the coefficient times
+sign * multiplier / (1 - m).  The binding becomes a dict by element only
+at a leaf.
 Placeholders are never deleted or glued; only their monomials absorb
 multipliers, which become the argument substitutions of the recurrence.
 
@@ -128,8 +131,9 @@ def eliminate_prefix(prefix):
     """All terminal branches of the elimination, combined by (target state,
     argument substitution) with coefficients summed."""
     leaves = []
-    _eliminate(prefix.poset, prefix.monos, RationalFunction.one(), prefix,
-               leaves)
+    poset = prefix.poset
+    _eliminate(poset, tuple(prefix.monos[e] for e in poset.elements),
+               RationalFunction.one(), prefix, leaves)
     combined = {}
     for coef, state, chain_args, mults in leaves:
         key = (state, chain_args, mults)
@@ -142,26 +146,29 @@ def eliminate_prefix(prefix):
         tuple((e, _mono_key(m)) for e, m in t.copy_mults))))
 
 
-def _eliminate(poset, monos, coef, prefix, leaves):
+def _eliminate(poset, at, coef, prefix, leaves):
     """Delete the smallest removable real element, else glue the first
     incomparable pair of real elements (default_strategy's rule on the
-    real elements); each term of the identity's right-hand side carries
-    coef * sign * multiplier / (1 - m)."""
+    real elements); each term of the identity's right-hand side, bound
+    at the monomials at (aligned with poset.elements) by engine._bound,
+    carries coef * sign * multiplier / (1 - m)."""
     placeholders = prefix.ph_to_block.keys()
     removable = poset.removable_elements().difference(placeholders)
     if removable:
-        den, terms = engine.deletion_rhs(poset, min(removable), monos)
+        rhs = engine.deletion_rhs(poset, min(removable))
     else:
         pair = next((a for a in poset.antichains_of_size(2)
                      if a.isdisjoint(placeholders)), None)
         if pair is None:
             reals = set(poset.elements).difference(placeholders)
-            leaves.append(_leaf(poset, reals, monos, coef, prefix))
+            leaves.append(_leaf(poset, reals, dict(zip(poset.elements, at)),
+                                coef, prefix))
             return
-        den, terms = engine.gluing_rhs(poset, pair, monos)
-    for sign, mult, child, child_monos in terms:
+        rhs = engine.gluing_rhs(poset, pair)
+    den, terms = engine._bound(rhs, at)
+    for sign, mult, child, child_at in terms:
         c = coef * Polynomial.term(mult, sign) if mult or sign < 0 else coef
-        _eliminate(child, child_monos, c if den is None else c.over(den),
+        _eliminate(child, child_at, c if den is None else c.over(den),
                    prefix, leaves)
 
 

@@ -18,6 +18,17 @@ def posets(draw, max_size=7):
     return Poset.build(range(1, n + 1), pairs)
 
 
+@st.composite
+def shuffled_orders(draw, max_size=7):
+    """Elements on spaced ids, ordered along a shuffle of them, so that a
+    larger id may lie below a smaller one."""
+    ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=max_size))
+    order = draw(st.permutations(ids))
+    pairs = {(x, y) for i, x in enumerate(order) for y in order[i + 1:]
+             if draw(st.booleans())}
+    return ids, pairs
+
+
 def recursion_edges(p, strategy=engine.default_strategy):
     """(parent, child) nonempty-antichain counts on every edge of gfun's
     recursion from p: each cover structure is expanded once, as gfun's
@@ -33,7 +44,7 @@ def recursion_edges(p, strategy=engine.default_strategy):
         kind, arg = strategy(q)
         rhs = engine.deletion_rhs if kind == "delete" else engine.gluing_rhs
         parent = q.antichain_count()
-        for _, _, child, _ in rhs(q, arg, engine.default_binding(q))[1]:
+        for _, _, child, _, _ in rhs(q, arg)[1]:
             edges.append((parent, child.antichain_count()))
             todo.append(child)
     return edges

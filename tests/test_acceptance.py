@@ -307,18 +307,19 @@ def test_criterion_8_transformation_identities(poset_corpus):
     failures = 0
     memo = {}  # structure-keyed engine memo, shared across the sweep
 
-    def recur(q, qbind):
-        return gfun(q, qbind, memo=memo)
+    def recur(q, at):
+        return gfun(q, dict(zip(q.elements, at)), memo=memo)
 
     for p in figures + poset_corpus[:50]:
         base = gfun(p, memo=memo)
         bind = default_binding(p)
+        at = tuple(bind[e] for e in p.elements)
         for b in sorted(p.removable_elements()):
-            if not rf_eq(base, apply_deletion(p, b, bind, recur)):
+            if not rf_eq(base, apply_deletion(p, b, at, recur)):
                 failures += 1
         for k in (1, 2, 3):
             for a in p.antichains_of_size(k):
-                if not rf_eq(base, apply_ple(p, sorted(a), bind, recur)):
+                if not rf_eq(base, apply_ple(p, sorted(a), at, recur)):
                     failures += 1
     elapsed = time.perf_counter() - start
     report(8, failures == 0 and elapsed < 120, elapsed,

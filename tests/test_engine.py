@@ -2,15 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppgf import algebra, engine
-from ppgf.algebra import (RationalFunction, keeps_normal_form, mono, mono_var,
-                          parse_rational, rf_eq)
+from ppgf.algebra import (RationalFunction, keeps_normal_form, mono, mono_mul,
+                          mono_var, parse_rational, rf_eq)
 from ppgf.engine import (NotRemovable, apply_deletion, apply_ple,
                          default_binding, default_strategy, gfun, gfun_at,
                          gfun_q, ple_first_strategy, reversed_strategy)
 from ppgf.families import antichain, chain, diamond
 from ppgf.oracle import truncated_gf, verify
 from ppgf.poset import Poset
-from strategies import posets, recursion_edges
+from strategies import posets, recursion_edges, shuffled_orders
 from test_acceptance import corpus
 
 R = parse_rational
@@ -28,8 +28,20 @@ def crown4():
     return Poset.build({1, 2, 3, 4}, {(1, 3), (1, 4), (2, 3), (2, 4)})
 
 
-def recur(p, bind):
-    return gfun(p, bind)
+def by_position(p, monos=None):
+    """The dict binding monos (default_binding(p) by default) as the tuple
+    aligned with p.elements, the binding the identities take."""
+    if monos is None:
+        monos = default_binding(p)
+    return tuple(monos[e] for e in p.elements)
+
+
+def by_element(recursion):
+    """recursion(p, monos) as a recur(p, at) for apply_deletion/apply_ple."""
+    return lambda p, at: recursion(p, dict(zip(p.elements, at)))
+
+
+recur = by_element(gfun)
 
 
 # -- closed forms -------------------------------------------------------------
@@ -53,46 +65,46 @@ def test_diamond_closed_form():
 # -- deletion step ------------------------------------------------------------
 
 def test_apply_deletion_diamond():
-    f = apply_deletion(diamond(), 2, default_binding(diamond()), recur)
+    f = apply_deletion(diamond(), 2, by_position(diamond()), recur)
     assert f == R(DIAMOND_FORMULA)
 
 
 def test_apply_deletion_isolated_element():
     p = antichain(1)
-    f = apply_deletion(p, 1, {1: mono_var("x1")}, recur)
+    f = apply_deletion(p, 1, (mono_var("x1"),), recur)
     assert f == R("1/(1-x1)")
 
 
 def test_apply_deletion_lower_cover_only():
     p = chain(2)
-    f = apply_deletion(p, 2, default_binding(p), recur)
+    f = apply_deletion(p, 2, by_position(p), recur)
     assert f == R("1/((1-x1)(1-x1*x2))")
 
 
 def test_apply_deletion_rejects_non_removable():
     p = fan5()
     with pytest.raises(NotRemovable):
-        apply_deletion(p, 1, default_binding(p), recur)
+        apply_deletion(p, 1, by_position(p), recur)
 
 
 # -- gluing step ----------------------------------------------------------------
 
 def test_apply_ple_crown():
     p = crown4()
-    f = apply_ple(p, (1, 2), default_binding(p), recur)
+    f = apply_ple(p, (1, 2), by_position(p), recur)
     assert rf_eq(f, gfun(p))
     assert verify(p, f, 8).ok
 
 
 def test_apply_ple_free_pair():
     p = antichain(2)
-    f = apply_ple(p, (1, 2), default_binding(p), recur)
+    f = apply_ple(p, (1, 2), by_position(p), recur)
     assert f == R("1/((1-x1)(1-x2))")
 
 
 def test_apply_ple_three_element_antichain():
     p = fan5()
-    f = apply_ple(p, (2, 3, 4), default_binding(p), recur)
+    f = apply_ple(p, (2, 3, 4), by_position(p), recur)
     assert verify(p, f, 8).ok
 
 
@@ -244,16 +256,75 @@ def test_every_recursion_and_identity_agrees_at_monomials(p, data):
     monos = {e: data.draw(MONOMIALS) for e in p.elements}
     expected = gfun(p).substitute({"x%d" % e: m for e, m in monos.items()})
     values = [gfun(p, monos), gfun_at(p, monos)]
+    at = by_position(p, monos)
     for recursion in (gfun, gfun_at):
-        values += [apply_deletion(p, b, monos, recursion)
+        values += [apply_deletion(p, b, at, by_element(recursion))
                    for b in sorted(p.removable_elements())]
     pairs = sorted(map(sorted, p.antichains_of_size(2)))
     if pairs:
         a = data.draw(st.sampled_from(pairs))
-        values += [apply_ple(p, a, monos, recursion)
+        values += [apply_ple(p, a, at, by_element(recursion))
                    for recursion in (gfun, gfun_at)]
     for f in values:
         assert rf_eq(f, expected)
+
+
+def dict_deletion_rhs(p, b, monos):
+    """The deletion identity's right-hand side with the binding a dict by
+    element, as (m_b, [(sign, multiplier, child, child binding)]): the
+    reference for deletion_rhs bound by _bound."""
+    lowers, uppers = p.lower_covers(b), p.upper_covers(b)
+    mb = monos[b]
+    child = p.delete(b)
+    g = {e: monos[e] for e in child.elements}
+    if uppers:
+        g[uppers[0]] = mono_mul(mb, g[uppers[0]])
+    terms = [(1, 0, child, g)]
+    if lowers:
+        h = {e: monos[e] for e in child.elements}
+        h[lowers[0]] = mono_mul(h[lowers[0]], mb)
+        terms.append((-1, mb, child, h))
+    return mb, terms
+
+
+def dict_gluing_rhs(p, antichain, monos):
+    """The gluing identity's right-hand side with the binding a dict by
+    element: the reference for gluing_rhs bound by _bound."""
+    members = sorted(antichain)
+    terms = []
+    for mask in range(1, 1 << len(members)):
+        m_set = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
+        child, glued = p.ple(m_set, members)
+        child_monos = {e: monos[e] for e in child.elements if e != glued}
+        prod = 0
+        for e in m_set:
+            prod = mono_mul(prod, monos[e])
+        child_monos[glued] = prod
+        terms.append((1 if len(m_set) % 2 else -1, 0, child, child_monos))
+    return None, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_orders(), st.data())
+def test_identities_by_position_bind_to_the_dict_form(start, data):
+    # spaced, shuffled ids, so positions and ids differ; the bindings
+    # share variables and raise them to powers
+    ids, pairs = start
+    p = Poset.build(ids, pairs)
+    monos = {e: data.draw(MONOMIALS) for e in p.elements}
+    cases = [(engine.deletion_rhs(p, b), dict_deletion_rhs(p, b, monos))
+             for b in sorted(p.removable_elements())]
+    cases += [(engine.gluing_rhs(p, a), dict_gluing_rhs(p, a, monos))
+              for k in (2, 3) for a in p.antichains_of_size(k)]
+    for rhs, (ref_den, ref_terms) in cases:
+        den, terms = engine._bound(rhs, by_position(p, monos))
+        assert den == ref_den
+        assert len(terms) == len(ref_terms)
+        for (sign, mult, child, at), (ref_sign, ref_mult, ref_child,
+                                      ref_monos) in zip(terms, ref_terms):
+            assert (sign, mult, child) == (ref_sign, ref_mult, ref_child)
+            assert sorted(ref_monos) == list(child.elements)
+            assert at == by_position(child, ref_monos)
 
 
 def test_gfun_direct_sum_multiplies():
@@ -289,9 +360,9 @@ def test_oracle_equivalence(p):
 @given(posets(max_size=6))
 def test_deletion_identity_everywhere(p):
     base = gfun(p)
-    bind = default_binding(p)
+    at = by_position(p)
     for b in sorted(p.removable_elements()):
-        assert rf_eq(base, apply_deletion(p, b, bind, recur))
+        assert rf_eq(base, apply_deletion(p, b, at, recur))
 
 
 @settings(max_examples=20, deadline=None)
@@ -301,7 +372,7 @@ def test_gluing_identity_everywhere(p, data):
     if not pairs:
         return
     a = data.draw(st.sampled_from(pairs))
-    assert rf_eq(gfun(p), apply_ple(p, sorted(a), default_binding(p), recur))
+    assert rf_eq(gfun(p), apply_ple(p, sorted(a), by_position(p), recur))
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,19 +424,19 @@ def unplanned_gfun_at(p, monos, strategy, reached):
     (Poset.key, binding), each appended to reached."""
     memo = {}
 
-    def go(q, qmonos):
+    def go(q, at):
         if not q.elements:
             return RationalFunction.one()
-        key = (q.key, tuple(qmonos[e] for e in q.elements))
+        key = (q.key, at)
         f = memo.get(key)
         if f is None:
             reached.append(key)
             kind, arg = strategy(q)
             apply = engine.apply_deletion if kind == "delete" else engine.apply_ple
-            f = memo[key] = apply(q, arg, qmonos, go)
+            f = memo[key] = apply(q, arg, at, go)
         return f
 
-    return go(p, monos)
+    return go(p, by_position(p, monos))
 
 
 def counted(strategy, keys):

@@ -11,7 +11,7 @@ from ppgf.poset import (CycleDetected, EmptySubset, NotAntichain, Poset,
                         render_poset_text, rplus, stack)
 from ppgf.families import (BlockDecomposition, antichain, chain, diamond,
                            two_rowed_dd_block)
-from strategies import posets
+from strategies import posets, shuffled_orders
 
 
 def fan5():
@@ -534,19 +534,8 @@ def _assert_same(p, ref):
                                       for k in range(1, len(es) + 1))
 
 
-@st.composite
-def _shuffled_orders(draw, max_size=7):
-    """Elements on spaced ids, ordered along a shuffle of them, so that a
-    larger id may lie below a smaller one."""
-    ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=max_size))
-    order = draw(st.permutations(ids))
-    pairs = {(x, y) for i, x in enumerate(order) for y in order[i + 1:]
-             if draw(st.booleans())}
-    return ids, pairs
-
-
 @settings(max_examples=60, deadline=None)
-@given(_shuffled_orders(), st.data())
+@given(shuffled_orders(), st.data())
 def test_mask_poset_matches_the_set_reference(start, data):
     ids, pairs = start
     p, ref = Poset.build(ids, pairs), _SetPoset(ids, pairs)
@@ -583,7 +572,7 @@ def test_mask_poset_matches_the_set_reference(start, data):
 def _stacks(draw):
     """1 to 4 pieces on spaced, shuffled ids, any of them possibly empty,
     each related to the next by pairs in the two pieces' own ids."""
-    piece = st.one_of(st.just(([], set())), _shuffled_orders(max_size=4))
+    piece = st.one_of(st.just(([], set())), shuffled_orders(max_size=4))
     pieces = [draw(piece) for _ in range(draw(st.integers(1, 4)))]
     rels = [draw(st.sets(st.tuples(st.sampled_from(lo), st.sampled_from(hi))))
             if lo and hi else set()
