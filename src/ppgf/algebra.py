@@ -611,92 +611,45 @@ def _value_at(terms, point, cache):
     return total % _PRIME
 
 
-def _div_one_variable(p, i, k):
-    """Quotient of a nonzero p by (1 - v^k) when exact, else None, v the
-    variable of index i.
-
-    Write p = sum_j v^j * c_j with each c_j free of v.  The quotient b
-    satisfies b_j = c_j + b_(j-k), so within each residue class of j mod
-    k it is a running sum of the c_j, and the division is exact iff, for
-    every v-free monomial, the coefficients of each class sum to 0: the
-    sparse, multivariate form of dense_div_one_minus.
-    """
-    s = _W * (i + 1)
-    unit = (1 << s) + 1
-    classes = {}
-    for mo, c in p._terms.items():
-        j = (mo >> s) & _MASK
-        classes.setdefault((mo - j * unit, j % k), []).append((j, c))
-    for items in classes.values():
-        if sum(c for _, c in items):
-            return None
-    out = {}
-    for (rest, _), items in classes.items():
-        items.sort()
-        acc = 0
-        for (j, c), (nxt, _) in zip(items, items[1:]):
-            acc += c
-            if acc:
-                for e in range(j, nxt, k):
-                    out[rest + e * unit] = acc
-    return _poly(out)
-
-
 def exact_div(p, m):
     """Quotient of p by (1 - m) when the division is exact, else None.
 
-    For m = v^k in one variable, the test and the quotient are exact
-    running sums over the residue classes of v's exponent mod k (see
-    _div_one_variable).
-
-    For m in two or more variables, p's coefficient sum must be 0 first:
-    it is p's value with every variable at 1, where m = 1 and every
-    multiple of (1 - m) vanishes.
-
-    The division then works degree layer by degree layer using
-    q = p + m*q: the lowest remaining layer of the work pile is forced to
-    be part of the quotient, and each accepted term pushes its product
-    with m one layer up.  A nonzero layer above degree(p) - degree(m)
-    certifies inexactness.
+    Multiplying by m splits the monomials into chains r, r*m, r*m^2, ...,
+    one per label r, a monomial m does not divide: the chain's first.  A
+    monomial mo sits at position t, the least over m's variables u of
+    e_u(mo) // e_u(m), on the chain labelled mo - t*m (packing is linear
+    in the exponents, and the least quotient keeps every field of the
+    label in range).  Along a chain the quotient b = p + m*b has the
+    running sums of p's coefficients, so the division is exact iff p's
+    coefficients on every chain sum to 0; each nonzero running sum fills
+    the positions up to the chain's next term of p.  For m = q^k that is
+    dense_div_one_minus.  The callers that try many factors (_normalize,
+    over) first ask for p's coefficient sum, the sum of every chain's, to
+    be 0.
     """
     if not m:
         raise ValueError("division by (1 - 1)")
-    if p.is_zero():
-        return Polynomial.zero()
-    items = _items(m)
-    if len(items) == 1:
-        return _div_one_variable(p, *items[0])
-    terms = p._terms
-    if sum(terms.values()):
-        return None
-    dm = mono_deg(m)
-    maxd = p.degree()
-    target = maxd - dm
-    if target < 0:
-        return None
-    buckets = {}
-    for mo, c in terms.items():
-        buckets.setdefault(mono_deg(mo), {})[mo] = c
-    out = {}
-    d = 0
-    while buckets:
-        layer = buckets.pop(d, None)
-        d += 1
-        if not layer:
-            continue
-        live = {mo: c for mo, c in layer.items() if c}
-        if not live:
-            continue
-        if d - 1 > target:
+    (i, k), *rest = [(_W * (u + 1), e) for u, e in _items(m)]
+    chains = {}
+    for mo, c in p._terms.items():
+        t = ((mo >> i) & _MASK) // k
+        for s, e in rest:
+            j = ((mo >> s) & _MASK) // e
+            if j < t:
+                t = j
+        chains.setdefault(mo - t * m, []).append((t, c))
+    for items in chains.values():
+        if sum(c for _, c in items):
             return None
-        nd = d - 1 + dm
-        nxt = buckets.setdefault(nd, {})
-        for mo, c in live.items():
-            out[mo] = c
-            mo2 = mono_mul(mo, m)
-            nxt[mo2] = nxt.get(mo2, 0) + c
-        if not nxt:
-            del buckets[nd]
+    out = {}
+    for r, items in chains.items():
+        items.sort()
+        acc = 0
+        for (t, c), (nxt, _) in zip(items, items[1:]):
+            acc += c
+            if acc:
+                for u in range(t, nxt):
+                    out[r + u * m] = acc
     return _poly(out)
 
 
@@ -745,9 +698,9 @@ class RationalFunction:
         about to be tried, and a skipped factor counts as failed.  Once
         the numerator's coefficient sum is nonzero no factor can divide
         it, since every multiple of (1 - m) vanishes where all variables
-        are 1, so the pass stops.  Most factors of the deletion identity
-        are one-variable (1 - x_b), and exact_div settles those by
-        residue-class sums without a polynomial division.
+        are 1, so the pass stops.  exact_div settles each factor tried by
+        running sums along the chains of m, without a polynomial long
+        division.
         """
         if self.num.is_zero():
             self.den = ()
@@ -1138,8 +1091,9 @@ def dense_mul_one_minus(a, k):
 def dense_div_one_minus(a, k):
     """Quotient of a by (1 - q^k) when the division is exact, else None.
 
-    The quotient b satisfies b_i = a_i + b_(i-k), so each residue class
-    of indices mod k is a running sum of a's; the division is exact iff
+    exact_div's rule at m = q^k: the chains of q^k are the residue
+    classes of the indices mod k, and along each the quotient b_i =
+    a_i + b_(i-k) is a running sum of a's, so the division is exact iff
     every class sums to 0, that is iff the last k running sums vanish.
     """
     if not a:

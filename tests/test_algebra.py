@@ -58,8 +58,8 @@ def test_exact_div_indivisible():
 
 
 def test_exact_div_multivariate_factor():
-    # coefficient sum 0 in both cases, so only the division or the modular
-    # filter can tell them apart
+    # coefficient sum 0 in both cases, so only the sums along the chains
+    # of m can tell them apart
     m = mono({"x1": 2, "x2": 1})
     assert exact_div(P("1 - x1^4*x2^2"), m) == P("1 + x1^2*x2")
     assert exact_div(P("x1 - x2"), m) is None
