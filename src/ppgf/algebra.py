@@ -1345,163 +1345,139 @@ def dense_to_rf(value):
 
 
 # ---------------------------------------------------------------------------
-# text format
+# text format, read by the one recursive descent in _parse:
 #
-# rf     := poly [ "/" den ]
-# den    := factor+ | "(" factor+ ")"
-# factor := "(" poly ")"        where the poly must have the shape 1 - monomial
-# poly   := ["-"] term (("+"|"-") term)*
-# term   := INT ["*" monopart] | monopart
-# monopart := var ["^" INT] ("*" var ["^" INT])*
-# with the usual parenthesized sub-expressions allowed inside poly.
+# rf      := poly ["/" den]
+# den     := "(" factor+ ")" | factor+
+# factor  := "(" poly ")"                   where the poly is 1 - monomial
+# poly    := ["-"] product (("+" | "-") product)*
+# product := atom ("*" atom | "(" poly ")")*
+# atom    := INT | NAME ["^" INT] | "(" poly ")"
+#
+# den takes its first form exactly when it opens with "((" and its first
+# "(" closes at the last token.  So "1/((1-x)(1+x))" fails on the factor
+# (1+x), while "1/((1-x)(1+x))(1-y)" reads (1-x)(1+x) = 1-x^2 as a factor.
 
 class ParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+_TOKEN = re.compile(
+    r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S))")
 
 
 def _tokenize(text):
-    pos = 0
+    """The (kind, value) tokens of text, then the end marker (None, None)."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError("bad character at %r" % text[pos:pos + 10])
-            break
-        if m.group(1):
-            out.append(("int", int(m.group(1))))
-        elif m.group(2):
-            out.append(("name", m.group(2)))
+    for m in _TOKEN.finditer(text):
+        number, name, op, bad = m.groups()
+        if bad:
+            raise ParseError("bad character at %r" % text[m.start(4):][:10])
+        if number:
+            out.append(("int", int(number)))
+        elif name:
+            out.append(("name", name))
         else:
-            out.append((m.group(3), None))
-        pos = m.end()
+            out.append((op, None))
+    out.append((None, None))
     return out
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
+def _parse(text, rational):
+    """text read by the grammar above: a RationalFunction if rational,
+    else a Polynomial, which has no "/" part."""
+    toks = _tokenize(text)
+    i = 0
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
+    def peek():
+        return toks[i][0]
 
-    def next(self):
-        t = self.peek()
-        self.i += 1
-        return t
+    def take(kind):
+        nonlocal i
+        got, value = toks[i]
+        if got != kind:
+            raise ParseError("expected %r, got %r" % (kind, got))
+        i += 1
+        return value
 
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError("expected %r, got %r" % (kind, t[0]))
-        return t
-
-    def parse_poly(self):
+    def poly():
         sign = 1
-        if self.peek()[0] == "-":
-            self.next()
+        if peek() == "-":
+            take("-")
             sign = -1
-        p = self.parse_product() * sign
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            t = self.parse_product()
+        p = product() * sign
+        while peek() in ("+", "-"):
+            op = peek()
+            take(op)
+            t = product()
             p = p + t if op == "+" else p - t
         return p
 
-    def parse_product(self):
-        p = self.parse_atom()
-        while True:
-            k = self.peek()[0]
-            if k == "*":
-                self.next()
-                p = p * self.parse_atom()
-            elif k == "(":
-                p = p * self.parse_atom()
-            else:
-                return p
+    def product():
+        p = atom()
+        while peek() in ("*", "("):
+            if peek() == "*":
+                take("*")
+            p = p * atom()
+        return p
 
-    def parse_atom(self):
-        kind, val = self.next()
-        if kind == "int":
-            return Polynomial.constant(val)
-        if kind == "name":
+    def atom():
+        if peek() == "int":
+            return Polynomial.constant(take("int"))
+        if peek() == "name":
+            name = take("name")
             exp = 1
-            if self.peek()[0] == "^":
-                self.next()
-                exp = self.expect("int")[1]
-            return Polynomial.term(mono_var(val, exp))
-        if kind == "(":
-            p = self.parse_poly()
-            self.expect(")")
-            return p
-        raise ParseError("unexpected token %r" % kind)
+            if peek() == "^":
+                take("^")
+                exp = take("int")
+            return Polynomial.term(mono_var(name, exp))
+        return parens()
+
+    def parens():
+        take("(")
+        p = poly()
+        take(")")
+        return p
+
+    def factor():
+        # the poly is 1 - m exactly when 1 - poly is the single term m
+        terms = list((1 - parens())._terms.items())
+        if len(terms) != 1 or terms[0][0] == 0 or terms[0][1] != 1:
+            raise ParseError("denominator factor is not of the form "
+                             "(1 - monomial)")
+        return terms[0][0]
+
+    def factors(end):
+        out = [factor()]
+        while peek() != end:
+            out.append(factor())
+        return out
+
+    def den():
+        if peek() == "(" and toks[i + 1][0] == "(":
+            # the depth after each token from the first "(" to the last
+            depth = list(accumulate((k == "(") - (k == ")")
+                                    for k, _ in toks[i:-1]))
+            if 0 not in depth[:-1] and depth[-1] == 0:
+                take("(")
+                out = factors(")")
+                take(")")
+                return out
+        return factors(None)
+
+    num = poly()
+    if rational and peek() == "/":
+        take("/")
+        return RationalFunction(num, den())
+    if peek() is not None:
+        raise ParseError("trailing input")
+    return RationalFunction(num, ()) if rational else num
 
 
 def parse_polynomial(text):
-    p = _Parser(_tokenize(text))
-    out = p.parse_poly()
-    if p.peek()[0] is not None:
-        raise ParseError("trailing input")
-    return out
-
-
-def _as_den_factor(p):
-    terms = dict(p._terms)
-    if terms.pop(0, None) != 1:
-        raise ParseError("denominator factor is not of the form (1 - monomial)")
-    if len(terms) != 1:
-        raise ParseError("denominator factor is not of the form (1 - monomial)")
-    (m, c), = terms.items()
-    if c != -1:
-        raise ParseError("denominator factor is not of the form (1 - monomial)")
-    return m
+    return _parse(text, False)
 
 
 def parse_rational(text):
     """Parse the canonical rendering of a RationalFunction."""
-    toks = _tokenize(text)
-    split = None
-    depth = 0
-    for i, (k, _) in enumerate(toks):
-        if k == "(":
-            depth += 1
-        elif k == ")":
-            depth -= 1
-        elif k == "/" and depth == 0:
-            split = i
-            break
-    if split is None:
-        return RationalFunction(parse_polynomial(text), ())
-    left = _Parser(toks[:split])
-    num = left.parse_poly()
-    if left.peek()[0] is not None:
-        raise ParseError("trailing input before /")
-    rest = toks[split + 1:]
-    if not rest or rest[0][0] != "(":
-        raise ParseError("expected denominator factors after /")
-    # strip one optional layer of outer parentheses wrapping the factor list
-    depth = 0
-    close = None
-    for i, (k, _) in enumerate(rest):
-        if k == "(":
-            depth += 1
-        elif k == ")":
-            depth -= 1
-            if depth == 0:
-                close = i
-                break
-    if close == len(rest) - 1 and rest[1][0] == "(":
-        rest = rest[1:-1]
-    parser = _Parser(rest)
-    den = []
-    while parser.peek()[0] is not None:
-        parser.expect("(")
-        den.append(_as_den_factor(parser.parse_poly()))
-        parser.expect(")")
-    if not den:
-        raise ParseError("empty denominator")
-    return RationalFunction(num, den)
+    return _parse(text, True)

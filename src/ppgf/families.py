@@ -96,14 +96,19 @@ def multicube_block():
         rel=frozenset({(1, 1), (2, 2), (3, 3), (4, 4)}))
 
 
+def _assembled(deco, n, label):
+    """deco with n >= 1 block copies, named label-n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return deco.assemble(n, name="%s-%d" % (label, n))[0]
+
+
 def zigzag(n):
-    p, _ = zigzag_block().assemble(n, name="zigzag-%d" % n)
-    return p
+    return _assembled(zigzag_block(), n, "zigzag")
 
 
 def three_rowed(n):
-    p, _ = three_rowed_block().assemble(n, name="three_rowed-%d" % n)
-    return p
+    return _assembled(three_rowed_block(), n, "three_rowed")
 
 
 def two_rowed_dd(n):
@@ -117,8 +122,7 @@ def two_rowed_dd(n):
 
 
 def multicube(n):
-    p, _ = multicube_block().assemble(n, name="multicube-%d" % n)
-    return p
+    return _assembled(multicube_block(), n, "multicube")
 
 
 FAMILY_NAMES = ("chain", "antichain", "diamond", "zigzag", "three_rowed",

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from unittest import mock
 
@@ -775,6 +776,62 @@ def test_parse_rejects_garbage():
         parse_rational("1/(2-q)")
     with pytest.raises(ParseError):
         parse_rational("1 +")
+
+
+# edge inputs with the results parse_rational has always given them
+PARSE_EDGES = [
+    ("1/(1-x)(1-x)", "1/((1-x)(1-x))"),
+    ("1/((1-x))", "1/(1-x)"),
+    ("x^0", "1"),
+    ("-(1-x)/(1-x)", "-1"),
+    # the outer parentheses of a denominator are those of its first "("
+    # only when that one closes at the end
+    ("1/((1-x))(1-y)", "1/((1-x)(1-y))"),
+    ("1/((1-x)(1+x))(1-y)", "1/((1-y)(1-x^2))"),
+    ("1/((1-x)(1+x))", ParseError),
+    ("1/((1-x)+0)", ParseError),
+    ("1/((1+x)(x^99999999))", ParseError),
+    ("1/((1-x^2000000)(1-x^2000000))", "1/((1-x^2000000)(1-x^2000000))"),
+    ("", ParseError),
+    ("1/", ParseError),
+    ("1/()", ParseError),
+    ("1/(1-x)/(1-y)", ParseError),
+    ("2^3", ParseError),
+    ("1/(1 - x^0)", ParseError),
+    ("x^99999999", MonomialOverflow),
+]
+
+
+@pytest.mark.parametrize("text, expected", PARSE_EDGES)
+def test_parse_edge_inputs(text, expected):
+    # parse_polynomial reads no "/"; on the rest it agrees with parse_rational
+    for parse, want in ((parse_rational, expected),
+                        (parse_polynomial, ParseError if "/" in text else expected)):
+        if isinstance(want, str):
+            assert str(parse(text)) == want
+        else:
+            with pytest.raises(want):
+                parse(text)
+
+
+PARSE_SYMBOLS = ("1", "2", "0", "x", "y1", "q", "(", ")", "+", "-", "*", "/",
+                 "^", " ")
+
+
+def test_parsers_raise_only_their_own_errors_on_random_text(monkeypatch):
+    # intern the random names into copies of the name table, so that the
+    # tests after this one do not pack their names past them
+    monkeypatch.setattr(algebra, "_NAMES", list(algebra._NAMES))
+    monkeypatch.setattr(algebra, "_INDEX", dict(algebra._INDEX))
+    rng = random.Random(32)
+    for _ in range(20000):
+        text = "".join(rng.choice(PARSE_SYMBOLS)
+                       for _ in range(rng.randrange(25)))
+        for parse in (parse_polynomial, parse_rational):
+            try:
+                parse(text)
+            except (ParseError, MonomialOverflow):
+                pass
 
 
 @settings(max_examples=80)

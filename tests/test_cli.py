@@ -118,6 +118,15 @@ def test_verify_against_corrupted_formula(capsys, tmp_path):
     assert out.startswith("FAIL") and "mismatch" in out
 
 
+def test_verify_against_malformed_formula(capsys, tmp_path):
+    path = tmp_path / "truncated.rf"
+    path.write_text("1/(1-x1")
+    code, out, err = run(capsys, "verify", "--family", "diamond",
+                         "--against", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_negative_bound_exit_code(capsys):
     code, out, err = run(capsys, "verify", "--family", "zigzag", "--n", "3",
                          "--bound", "-1")
@@ -144,6 +153,12 @@ def test_meaningless_n_exit_code(capsys, tmp_path):
     code, out, _ = run(capsys, "qgfun", "--family", "rpower",
                        "--block", str(path))
     assert code == 0 and out.strip() == "1/((1-q)(1-q^2))"
+    # the block families say it as eval does
+    for command in ("gfun", "qgfun", "verify"):
+        for family in ("zigzag", "three_rowed", "multicube"):
+            code, out, err = run(capsys, command, "--family", family,
+                                 "--n", "0")
+            assert code == 2 and out == "" and err == "error: n must be >= 1\n"
 
 
 def test_input_error_exit_code(capsys, tmp_path):
