@@ -176,9 +176,11 @@ def mono(items=()):
 
 
 def mono_var(name, exp=1):
-    if 0 <= exp < _LIMIT:
-        return exp + (exp << (_W * (_index(name) + 1)))
-    return _pack([(_index(name), exp)])
+    if exp < 0:
+        raise MonomialOverflow("negative exponent %d of %s" % (exp, name))
+    if exp >= _LIMIT:
+        raise _overflow(exp)
+    return exp + (exp << (_W * (_index(name) + 1)))
 
 
 # the packed q, whose multiples are the powers of q
@@ -1465,13 +1467,26 @@ def _parse(text, rational):
                 return out
         return factors(None)
 
-    num = poly()
-    if rational and peek() == "/":
-        take("/")
-        return RationalFunction(num, den())
-    if peek() is not None:
-        raise ParseError("trailing input")
-    return RationalFunction(num, ()) if rational else num
+    # A failed parse leaves no name interned, so that text that does not
+    # parse cannot grow the packed monomials of the process: the names
+    # interned past the mark are dropped before the error propagates.
+    # Dropping an index is safe because parsing reaches only Polynomial
+    # arithmetic and exact_div, never _residue, _point_where_one or
+    # _positions, the tables that keep a name's index.
+    mark = len(_NAMES)
+    try:
+        num = poly()
+        if rational and peek() == "/":
+            take("/")
+            return RationalFunction(num, den())
+        if peek() is not None:
+            raise ParseError("trailing input")
+        return RationalFunction(num, ()) if rational else num
+    except BaseException:
+        for name in _NAMES[mark:]:
+            del _INDEX[name]
+        del _NAMES[mark:]
+        raise
 
 
 def parse_polynomial(text):

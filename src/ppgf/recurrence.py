@@ -147,11 +147,12 @@ def eliminate_prefix(prefix):
 
 
 def _eliminate(poset, at, coef, prefix, leaves):
-    """Delete the smallest removable real element, else glue the first
-    incomparable pair of real elements (default_strategy's rule on the
-    real elements); each term of the identity's right-hand side, bound
-    at the monomials at (aligned with poset.elements) by engine._bound,
-    carries coef * sign * multiplier / (1 - m)."""
+    """Delete the smallest removable real element, whatever its covers,
+    else glue the first incomparable pair of real elements; this rule,
+    not default_strategy's, fixes the printed systems' bytes.  Each term
+    of the identity's right-hand side, bound at the monomials at (aligned
+    with poset.elements) by engine._bound, carries
+    coef * sign * multiplier / (1 - m)."""
     placeholders = prefix.ph_to_block.keys()
     removable = poset.removable_elements().difference(placeholders)
     if removable:

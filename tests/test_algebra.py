@@ -834,6 +834,24 @@ def test_parsers_raise_only_their_own_errors_on_random_text(monkeypatch):
                 pass
 
 
+def test_a_failed_parse_interns_no_name():
+    # each text meets fresh names before it fails: on a bad character,
+    # trailing input, a factor not of the form (1 - m), a (1 - 1) factor
+    # or an exponent past its field
+    endings = ["1 + {a}*{b} $", "{a}*{b} )", "1/((1-{a})(1+{b}))",
+               "{a}/(1 - {b}^0)", "{a} + {b}^16777216", "{a}/(1-{b}^-1)"]
+    rng = random.Random(33)
+    names = len(algebra._NAMES), len(algebra._INDEX)
+    for i in range(2000):
+        text = rng.choice(endings).format(a="fa%d" % i, b="fb%d" % rng.randrange(10 ** 6))
+        with pytest.raises((ParseError, MonomialOverflow, DenominatorCollapse)):
+            (parse_rational if i % 2 else parse_polynomial)(text)
+        assert (len(algebra._NAMES), len(algebra._INDEX)) == names
+    with pytest.raises(MonomialOverflow):
+        mono_var("fc", -1)
+    assert "fc" not in algebra._INDEX
+
+
 @settings(max_examples=80)
 @given(st.data())
 def test_text_round_trip(data):

@@ -419,6 +419,15 @@ def test_strategies_depend_only_on_the_rank_order(p):
             assert strategy(q) == (kind, arg)
 
 
+@settings(max_examples=100, deadline=None)
+@given(posets())
+def test_default_strategy_deletes_a_minimal_removable_element_first(p):
+    # its deletion has one term, f_P = g / (1 - m_b)
+    minimal = [e for e in p.removable_elements() if not p.lower_covers(e)]
+    if minimal:
+        assert default_strategy(p) == ("delete", min(minimal))
+
+
 def unplanned_gfun_at(p, monos, strategy, reached):
     """gfun_at without plans: the strategy and the identity run at every
     (Poset.key, binding), each appended to reached."""
@@ -476,3 +485,21 @@ def test_gfun_at_plans_on_ids_that_are_not_contiguous():
     assert rf_eq(f, expected)
     assert rf_eq(gfun_q(p), gfun(p).substitute(
         {"x%d" % e: mono_var("q") for e in p.elements}))
+
+
+def test_default_strategy_steps_on_the_wide_posets(monkeypatch):
+    # deleting an element with no lower cover first takes fewer steps, and
+    # fewer that sum two terms or more; deleting the smallest removable
+    # element first took 2,004 steps, 1,294 of them with more than one term
+    steps = []
+    evaluate = engine._evaluate
+
+    def counting(bound, recur):
+        steps.append(len(bound[1]))
+        return evaluate(bound, recur)
+
+    monkeypatch.setattr(engine, "_evaluate", counting)
+    for p in WIDE:
+        gfun_q(p, strategy=default_strategy)
+    assert len(steps) == 1522
+    assert sum(n > 1 for n in steps) == 635

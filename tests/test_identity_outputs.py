@@ -15,7 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LINES = 5134
-MD5 = "7ddde1454cdd3cf4fda98808f941e405"
+MD5 = "16029871ceb1d8557ca2fb7bb18563ec"
 
 
 def test_identity_outputs_are_unchanged():

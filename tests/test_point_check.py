@@ -7,8 +7,9 @@ product of X_j over the descents j of w, divided by the product of
 are taken in a natural labeling.  At one point that sum is a dynamic
 programme over (down-set, last element) in plain integers.  It shares
 no code with the engine, the recurrences or the algebra: this file
-imports only the family builder and reads the output from the CLI's JSON
-in another process.  The printed recurrence system of a block family is
+imports only the family builder and the poset file reader, and reads the
+output from the CLI's JSON in another process.  The printed recurrence
+system of a block family, built in or read from a random block file, is
 checked the same way: read from `ppgf recurrence --json` and evaluated
 at the point top down.  By Schwartz-Zippel a wrong output agrees with it at
 a random point with probability at most its degree over the prime.
@@ -22,8 +23,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ppgf.families import (multicube_block, three_rowed_block, zigzag,
-                           zigzag_block)
+from ppgf.families import (BlockDecomposition, multicube_block,
+                           three_rowed_block, zigzag, zigzag_block)
+from ppgf.poset import parse_poset_text
 
 ROOT = Path(__file__).resolve().parent.parent
 PRIME = (1 << 61) - 1
@@ -162,6 +164,36 @@ def test_printed_recurrence_systems_at_a_random_point():
             p, x, copies = _point(deco, n, rng)
             assert (_system_value(system, deco.block.elements, copies)
                     == _linext_value(p, x)), (family, n)
+
+
+def _random_block(rng):
+    """The text of a block on 1..k, k from 1 to 4, each pair i < j a cover
+    candidate and each (x, y) a rel pair with probability 1/2 and 2/5."""
+    k = rng.randint(1, 4)
+    lines = ["elements: %s" % " ".join(map(str, range(1, k + 1)))]
+    lines += ["cover: %d %d" % (i, j) for i in range(1, k + 1)
+              for j in range(i + 1, k + 1) if rng.random() < 0.5]
+    lines += ["rel: %d %d" % (x, y) for x in range(1, k + 1)
+              for y in range(1, k + 1) if rng.random() < 0.4]
+    return "\n".join(lines) + "\n"
+
+
+def test_printed_recurrence_systems_of_random_blocks(tmp_path):
+    # the paper's theorem on blocks no fixed family covers: the printed
+    # system, whose base values the engine computes, at n = 2..4 copies of
+    # at most 12 elements in all, so that the linear-extension sum stays small
+    rng = random.Random(POINT_SEED + 1)
+    path = tmp_path / "block.poset"
+    for _ in range(60):
+        text = _random_block(rng)
+        path.write_text(text)
+        system = _cli_json("recurrence", "--block", str(path))
+        block, rel = parse_poset_text(text)
+        deco = BlockDecomposition(block=block, rel=frozenset(rel))
+        for n in range(2, 1 + min(4, 12 // len(block))):
+            p, x, copies = _point(deco, n, rng)
+            assert (_system_value(system, block.elements, copies)
+                    == _linext_value(p, x)), (text, n)
 
 
 def test_printed_recurrence_system_check_sees_one_wrong_value():
