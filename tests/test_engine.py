@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppgf import algebra, engine
 from ppgf.algebra import (RationalFunction, keeps_normal_form, mono, mono_mul,
@@ -7,7 +9,7 @@ from ppgf.algebra import (RationalFunction, keeps_normal_form, mono, mono_mul,
 from ppgf.engine import (NotRemovable, apply_deletion, apply_ple,
                          default_binding, default_strategy, gfun, gfun_at,
                          gfun_q, ple_first_strategy, reversed_strategy)
-from ppgf.families import antichain, chain, diamond
+from ppgf.families import antichain, chain, diamond, three_rowed
 from ppgf.oracle import truncated_gf, verify
 from ppgf.poset import Poset
 from strategies import posets, recursion_edges, shuffled_orders
@@ -428,6 +430,25 @@ def test_default_strategy_deletes_a_minimal_removable_element_first(p):
         assert default_strategy(p) == ("delete", min(minimal))
 
 
+def shared_covers(p, x, y):
+    return (len(set(p.upper_covers(x)) & set(p.upper_covers(y)))
+            + len(set(p.lower_covers(x)) & set(p.lower_covers(y))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets())
+@example(Poset.build(range(1, 6), {(x, y) for x in (1, 2, 3) for y in (4, 5)}))
+def test_default_strategy_glues_the_pair_sharing_the_most_covers(p):
+    # the first pair, in lexicographic order, among those sharing the most
+    choice = default_strategy(p)
+    if choice is None or choice[0] != "ple":
+        return
+    assert not p.removable_elements()
+    pairs = [a for a in combinations(p.elements, 2) if not p.comparable(*a)]
+    most = max(shared_covers(p, *a) for a in pairs)
+    assert choice[1] == next(a for a in pairs if shared_covers(p, *a) == most)
+
+
 def unplanned_gfun_at(p, monos, strategy, reached):
     """gfun_at without plans: the strategy and the identity run at every
     (Poset.key, binding), each appended to reached."""
@@ -487,10 +508,8 @@ def test_gfun_at_plans_on_ids_that_are_not_contiguous():
         {"x%d" % e: mono_var("q") for e in p.elements}))
 
 
-def test_default_strategy_steps_on_the_wide_posets(monkeypatch):
-    # deleting an element with no lower cover first takes fewer steps, and
-    # fewer that sum two terms or more; deleting the smallest removable
-    # element first took 2,004 steps, 1,294 of them with more than one term
+def gfun_q_steps(monkeypatch, ps):
+    """The number of terms of each step (memo miss) of gfun_q over ps."""
     steps = []
     evaluate = engine._evaluate
 
@@ -499,7 +518,24 @@ def test_default_strategy_steps_on_the_wide_posets(monkeypatch):
         return evaluate(bound, recur)
 
     monkeypatch.setattr(engine, "_evaluate", counting)
-    for p in WIDE:
+    for p in ps:
         gfun_q(p, strategy=default_strategy)
-    assert len(steps) == 1522
-    assert sum(n > 1 for n in steps) == 635
+    return steps
+
+
+def test_default_strategy_steps_on_the_wide_posets(monkeypatch):
+    # deleting an element with no lower cover first sums fewer terms;
+    # deleting the smallest removable element first took 2,004 steps,
+    # 1,294 of them with more than one term.  Gluing the pair sharing the
+    # most covers instead of the first pair makes fewer steps with more
+    # than one term here (635 before) but more steps (1,522 before), while
+    # on the benchmark's 100 wide posets both fall, 27,655 -> 15,187 steps
+    # and 12,728 -> 6,093
+    steps = gfun_q_steps(monkeypatch, WIDE)
+    assert len(steps) == 1624
+    assert sum(n > 1 for n in steps) == 610
+
+
+def test_default_strategy_steps_on_three_rowed(monkeypatch):
+    # gluing the first pair took 6,110 steps
+    assert len(gfun_q_steps(monkeypatch, [three_rowed(6)])) == 479

@@ -15,7 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LINES = 5134
-MD5 = "16029871ceb1d8557ca2fb7bb18563ec"
+MD5 = "e9c4b2198c9098320dd12c5ce5804d40"
 
 
 def test_identity_outputs_are_unchanged():
