@@ -58,17 +58,19 @@ variable's difference, one shift and mask per entry.  Below the cap no
 field can leave its range, since the result's degree is at most the
 monomial's times the largest image's; at or above it the result's
 degree is summed exactly, which raises MonomialOverflow exactly where
-the result leaves a field.  RationalFunction.substitute
-renormalizes unless keeps_normal_form shows that the substitution
-keeps every normal form; engine.gfun's inner lookups, whose bindings
-always keep it, use _substituted, the same substitution without the
-check.  _substituted prepares the substitution once, for the
-numerator (through Polynomial.substitute) and the denominator alike:
-a pair already prepared passes through _substitution unchanged.
-gfun's inner lookups arrive prepared by position
+the result leaves a field.  keeps_normal_form reads a list of images,
+one per variable, and says whether substituting them keeps every
+normal form.  RationalFunction.substitute, the recurrence's route,
+reads that list off its dict, by name, and renormalizes where the
+check fails; _substituted is the same substitution without the check.
+It prepares the substitution once, for the numerator (through
+Polynomial.substitute) and the denominator alike: a pair already
+prepared passes through _substitution unchanged.  engine.gfun's
+lookups, the caller's included, arrive prepared by position
 (_positional_substitution): the images of v0, v1, ... in order, each
 variable's shift and monomial read from a table of the positional
-variables rather than from its name.
+variables rather than from its name; gfun asks keeps_normal_form once,
+of the caller's images.
 
 Rational functions in q alone also have a dense form, a coefficient list
 over a tuple of exponents, with its own arithmetic (the dense_* functions);
@@ -307,29 +309,29 @@ def mono_subst(a, sub):
     return _subst(a, _substitution(sub))
 
 
-def keeps_normal_form(sub, variables):
-    """Whether substituting sub into any normal form in the given
-    variables gives a normal form, with no factor left to cancel.
+def keeps_normal_form(images):
+    """Whether a substitution that sends the variables of a normal form
+    to the given images, one each, gives a normal form, with no factor
+    left to cancel.
 
-    True when every image (an unmapped variable is its own image) has a
-    variable of exponent 1 that no other image contains.  Sending that
-    variable back to its source and every other variable to 1 undoes the
-    substitution, so a factor that divided the image would divide the
-    original.  A renaming onto distinct variables is the simplest case.
+    True when every image has a variable of exponent 1 that no other
+    image contains.  Sending that variable back to its source and every
+    other variable to 1 undoes the substitution, so a factor that divided
+    the image would divide the original.  A renaming onto distinct
+    variables is the simplest case.
     """
-    images = []
-    for v in variables:
-        img = sub[v] if v in sub else mono_var(v)
+    items = []
+    for img in images:
         if img & _MASK == 1:
             # one variable to the power 1, read off its highest bit
-            images.append((((img.bit_length() - 1) // _W - 1, 1),))
+            items.append((((img.bit_length() - 1) // _W - 1, 1),))
         else:
-            images.append(_items(img))
+            items.append(_items(img))
     seen = {}
-    for img in images:
+    for img in items:
         for i, _ in img:
             seen[i] = seen.get(i, 0) + 1
-    return all(any(e == 1 and seen[i] == 1 for i, e in img) for img in images)
+    return all(any(e == 1 and seen[i] == 1 for i, e in img) for img in items)
 
 
 @lru_cache(maxsize=None)
@@ -674,7 +676,7 @@ class RationalFunction:
     that can still cancel.
     """
 
-    __slots__ = ("num", "den", "_variables", "_decoded")
+    __slots__ = ("num", "den", "_decoded")
 
     def __init__(self, num, den=()):
         if isinstance(num, int):
@@ -685,7 +687,7 @@ class RationalFunction:
                 raise DenominatorCollapse("denominator factor (1 - 1)")
         self.num = num
         self.den = den
-        self._variables = self._decoded = None
+        self._decoded = None
         self._normalize()
 
     def _normalize(self, skip=None):
@@ -784,16 +786,18 @@ class RationalFunction:
     def substitute(self, sub):
         """Simultaneous multiplicative substitution of variables by monomials.
 
-        The result is renormalized unless keeps_normal_form(sub, variables)
-        holds, in which case it is already a normal form.  sub must be a
-        dict: keeps_normal_form reads its names, so a pair prepared by
+        The result is renormalized unless keeps_normal_form holds for the
+        images of self's variables (an unmapped variable is its own
+        image), in which case it is already a normal form.  sub must be a
+        dict: the images are read off it by name, so a pair prepared by
         _substitution raises TypeError.
         """
         if type(sub) is tuple:
             raise TypeError("RationalFunction.substitute takes a dict "
                             "{name: monomial}, not a prepared substitution")
         f = _substituted(self, sub)
-        if not keeps_normal_form(sub, self.variables()):
+        if not keeps_normal_form([sub[v] if v in sub else mono_var(v)
+                                  for v in self.variables()]):
             f._normalize()
         return f
 
@@ -831,13 +835,10 @@ class RationalFunction:
         return _poly({t: c for layer in layers for t, c in layer.items() if c})
 
     def variables(self):
-        """The variables of the numerator and the denominator, as a
-        frozenset found on the first call: the recurrence substitutes
-        into a level's value once for each term that reads it."""
-        if self._variables is None:
-            self._variables = frozenset(
-                _NAMES[i] for i in _indices(chain(self.num._terms, self.den)))
-        return self._variables
+        """The names of the variables of the numerator and the
+        denominator, as a set."""
+        return {_NAMES[i]
+                for i in _indices(chain(self.num._terms, self.den))}
 
     def __str__(self):
         num = str(self.num)
@@ -888,16 +889,16 @@ def _normal(num, den):
     f = RationalFunction.__new__(RationalFunction)
     f.num = num
     f.den = den
-    f._variables = f._decoded = None
+    f._decoded = None
     return f
 
 
 def _substituted(f, sub):
     """f under sub, not renormalized: a normal form where sub keeps it
     (keeps_normal_form), as every binding engine.gfun builds inside its
-    recursion does.  sub, a dict or a pair already prepared, is prepared
-    once for the numerator, which goes through Polynomial.substitute, and
-    the denominator."""
+    recursion does, and where the caller checks it otherwise.  sub, a
+    dict or a pair already prepared, is prepared once for the numerator,
+    which goes through Polynomial.substitute, and the denominator."""
     prepared = _substitution(sub)
     num = f.num.substitute(prepared)
     den = []
@@ -1065,8 +1066,13 @@ def rf_eq(a, b):
 def dense_mul(a, b):
     """Product of two coefficient lists.
 
-    Schoolbook: at the degrees the q-iteration reaches (a few hundred),
-    Kronecker substitution into one Python int measured slower.
+    Schoolbook.  Kronecker substitution into one Python int measured
+    slower only at the degrees of multicube's q-iteration (a few
+    hundred): multicube n = 7 took 0.59 s with it against 0.57 s
+    without.  Used where the shorter operand has at least 16 nonzero
+    coefficients and the longer at least 128 entries, it took
+    three_rowed n = 20 from 20.2 s to 7.9 s and zigzag n = 40 from
+    0.26 s to 0.21 s (a scratch prototype on a 2-core host).
     """
     if not a or not b:
         return []

@@ -42,36 +42,38 @@ which is equal for two posets exactly when relabeling one by rank gives
 the other; so branches that build one structure under different
 bindings share the work.  It stores each value in positional variables
 v0, v1, ..., the identity bound at their monomials
-(algebra._positional_variables), and substitutes the binding into it on
-every lookup.  An inner lookup prepares its substitution once, from the
-child's tuple (algebra._positional_substitution), with no variable name
-formatted or looked up.  The normal-form check (algebra.keeps_normal_form)
-runs once per gfun call, at the caller's binding, in
-RationalFunction.substitute, which renormalizes where it fails.  Every
-inner lookup's binding is bound from the distinct positional variables
-of the poset above, and both identities only multiply disjoint sets of
-them together, so each image keeps a variable of exponent 1 that no
-other image holds and the check always holds; inner lookups substitute
-through algebra._substituted, which does not ask it.
+(algebra._positional_variables), and every lookup, the caller's
+included, substitutes its binding into it by position, prepared once
+from the tuple (algebra._positional_substitution, with no variable name
+formatted or looked up), through algebra._substituted, which does not
+renormalize.  The normal-form check (algebra.keeps_normal_form) runs
+once per gfun call, on the caller's images, and gfun renormalizes the
+value where it fails.  Every inner lookup's binding is bound from the
+distinct positional variables of the poset above, and both identities
+only multiply disjoint sets of them together, so each image keeps a
+variable of exponent 1 that no other image holds and the check would
+always hold.  A level of gfun's recursion takes three stack frames (go,
+the identity, _evaluate), and a level of gfun_at's two (go, _evaluate).
 gfun_at keys on Poset.key plus monomials and keeps every value in the
 target variables, which is exponentially smaller when elements share a
 variable (gfun_q's all-q input).  Each is the faster one somewhere: on
-the first 100 posets of the acceptance corpus under all three
-strategies, keying on the values at distinct variables took 4.3-4.6 s
-against 2.9-3.5 s keyed on structure (2-core Xeon), while structure keys
-would build the full multivariate value of every subposet of an all-q
-input.  gfun_at still meets one structure under many bindings (15,187
-steps over 1,733 keys on the benchmark's 100 wide posets), so it plans
-each structure once: its plan is the strategy's right-hand side, which
-holds positions only, and each binding binds it.  Both memos thus rely
-on a strategy's choice depending only on the rank order of the ids.
+the 200 posets of the acceptance corpus under all three strategies,
+with dumps(), gfun took 2.1 s against 2.7-3.0 s for gfun_at at
+default_binding (2-core host, byte-identical output), while structure
+keys would build the full multivariate value of every subposet of an
+all-q input.  gfun_at still meets one structure under many bindings
+(15,187 steps over 1,733 keys on the benchmark's 100 wide posets), so
+it plans each structure once: its plan is the strategy's right-hand
+side, which holds positions only, and each binding binds it.  Both
+memos thus rely on a strategy's choice depending only on the rank
+order of the ids.
 """
 
 from __future__ import annotations
 
 from .algebra import (RationalFunction, Polynomial, _positional_substitution,
-                      _positional_variables, _substituted, mono_var, mono_mul,
-                      rf_sum)
+                      _positional_variables, _substituted, keeps_normal_form,
+                      mono_var, mono_mul, rf_sum)
 
 
 class NotRemovable(ValueError):
@@ -252,52 +254,43 @@ def apply_ple(p, antichain, at, recur):
 
 # -- the two recursions ----------------------------------------------------
 
-def gfun(p, monos=None, strategy=default_strategy, memo=None):
+def gfun(p, monos=None, strategy=default_strategy):
     """Generating function of the P-partitions of p at x_a := monos[a]
     (by default the variable x<a>), memoized on Poset.key.
 
-    The memo stores, per key, the value in positional
-    variables v0, v1, ... (the identity applied at
-    algebra._positional_variables); the caller's monomials are
-    substituted into it on return.  This is sound because every identity
-    used is a multiplicative substitution.  Only this outermost
-    substitution, at the caller's binding, goes through
-    RationalFunction.substitute and its check of
-    algebra.keeps_normal_form, renormalizing where the check fails
-    (elements that share a variable).  The bindings of the recursion's
-    own lookups are products of disjoint sets of distinct variables,
-    which always keep the normal form, so those lookups substitute
-    without the check (see the module docstring).
+    The memo stores, per key, the value in positional variables v0, v1,
+    ... (the identity applied at algebra._positional_variables), and
+    every lookup, the caller's included, substitutes its binding into it
+    by position.  This is sound because every identity used is a
+    multiplicative substitution.  The bindings of the recursion's own
+    lookups are products of disjoint sets of distinct variables, which
+    always keep the normal form (see the module docstring); the caller's
+    binding is checked once, by algebra.keeps_normal_form on its images,
+    and the value renormalized where the check fails (elements that
+    share a variable).  Each element costs three stack frames: go, the
+    identity (apply_deletion or apply_ple) and _evaluate.
     """
     if monos is None:
         monos = default_binding(p)
     _check_binding(monos)
-    if memo is None:
-        memo = {}
+    memo = {}
 
     def go(q, at):
         if not q.elements:
             return RationalFunction.one()
-        return _substituted(template(q), _positional_substitution(at))
-
-    def template(q):
         f = memo.get(q.key)
         if f is None:
             kind, arg = strategy(q)
             apply = apply_deletion if kind == "delete" else apply_ple
             f = memo[q.key] = apply(q, arg,
                                     _positional_variables(len(q.elements)), go)
-        return f
+        return _substituted(f, _positional_substitution(at))
 
-    if not p.elements:
-        return RationalFunction.one()
-    return template(p).substitute(_positional(p, monos))
-
-
-def _positional(q, monos):
-    """The substitution from the positional variables of q's stored value
-    to monos."""
-    return {"v%d" % i: monos[e] for i, e in enumerate(q.elements)}
+    at = tuple(monos[e] for e in p.elements)
+    f = go(p, at)
+    if not keeps_normal_form(at):
+        f._normalize()
+    return f
 
 
 def gfun_at(p, monos, strategy=default_strategy):

@@ -305,13 +305,12 @@ def test_criterion_8_transformation_identities(poset_corpus):
         Poset.build({1, 2, 3, 4}, {(1, 3), (1, 4), (2, 3), (2, 4)}),
     ]
     failures = 0
-    memo = {}  # structure-keyed engine memo, shared across the sweep
 
     def recur(q, at):
-        return gfun(q, dict(zip(q.elements, at)), memo=memo)
+        return gfun(q, dict(zip(q.elements, at)))
 
     for p in figures + poset_corpus[:50]:
-        base = gfun(p, memo=memo)
+        base = gfun(p)
         bind = default_binding(p)
         at = tuple(bind[e] for e in p.elements)
         for b in sorted(p.removable_elements()):

@@ -530,17 +530,16 @@ def test_rf_sum_multiplies_a_factor_its_parts_share_once(monkeypatch):
 
 def test_keeps_normal_form():
     x = {v: mono_var(v) for v in ("x1", "x2", "y1", "y2")}
-    assert keeps_normal_form({"x1": x["y1"], "x2": x["y2"]}, ["x1", "x2"])
-    assert keeps_normal_form({"x1": x["x2"]}, ["x1"])
+    assert keeps_normal_form([x["y1"], x["y2"]])
+    assert keeps_normal_form([x["x2"]])
     # a shared variable is fine beside a private one of exponent 1
-    assert keeps_normal_form({"x1": mono({"y1": 1, "y2": 2}),
-                              "x2": mono({"x2": 1, "y2": 1})}, ["x1", "x2"])
+    assert keeps_normal_form([mono({"y1": 1, "y2": 2}),
+                              mono({"x2": 1, "y2": 1})])
     # x2 stays itself, so x1 -> x1*x2 leaves x1's image its own x1 but
     # x2's image nothing of its own
-    assert not keeps_normal_form({"x1": mono({"x1": 1, "x2": 1})},
-                                 ["x1", "x2"])
-    assert not keeps_normal_form({"x1": mono_var("y1", 2)}, ["x1"])
-    assert not keeps_normal_form({"x1": x["y1"], "x2": x["y1"]}, ["x1", "x2"])
+    assert not keeps_normal_form([mono({"x1": 1, "x2": 1}), x["x2"]])
+    assert not keeps_normal_form([mono_var("y1", 2)])
+    assert not keeps_normal_form([x["y1"], x["y1"]])
 
 
 # denominator factors with shared primitive roots (x1, x1^2, x1^3 and
@@ -747,7 +746,7 @@ def test_substitutions_that_keep_the_normal_form_need_no_division(data):
     with pytest.MonkeyPatch.context() as mp:
         tried = recording_exact_div(mp)
         assert f.substitute(sub) == full
-    if keeps_normal_form(sub, f.variables()):
+    if keeps_normal_form([sub.get(v, mono_var(v)) for v in f.variables()]):
         assert tried == []
 
 
@@ -1485,7 +1484,8 @@ def test_substituted_prepares_each_substitution_once(monkeypatch):
 
 
 def test_rational_substitute_rejects_a_prepared_pair():
-    # keeps_normal_form reads the names, which a prepared pair has lost
+    # substitute reads keeps_normal_form's images off the names, which a
+    # prepared pair has lost
     f = R("1/((1-x1)(1-x2))")
     prepared = algebra._substitution({"x1": mono_var("y"), "x2": mono_var("y")})
     with pytest.raises(TypeError):

@@ -200,13 +200,13 @@ def test_qgfun_of_a_400_element_antichain(capsys):
     assert parse_rational(out.strip()) == RationalFunction(1, [mono_var("q")] * 400)
 
 
-def test_gfun_of_a_220_element_antichain(capsys):
-    # gfun takes four stack frames per element: 220 elements fit under
+def test_gfun_of_a_300_element_antichain(capsys):
+    # gfun takes three stack frames per element: 300 elements fit under
     # the default recursion limit, with room for pytest's own frames
-    code, out, _ = run(capsys, "gfun", "--family", "antichain", "--n", "220")
+    code, out, _ = run(capsys, "gfun", "--family", "antichain", "--n", "300")
     assert code == 0
     assert parse_rational(out.strip()) == RationalFunction(
-        1, [mono_var("x%d" % e) for e in range(1, 221)])
+        1, [mono_var("x%d" % e) for e in range(1, 301)])
 
 
 def test_eval_has_no_depth_limit(capsys, tmp_path):
